@@ -7,6 +7,11 @@
 // cross-kernel comparison in the bench history.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "workload/cli.hpp"
 #include "workload/engine.hpp"
 #include "workload/scenario.hpp"
 
@@ -71,6 +76,83 @@ TEST(Determinism, SameSeedTwiceIsBitIdentical) {
     ASSERT_TRUE(other->completed.has_value());
     EXPECT_EQ(*rec.completed, *other->completed) << id.to_string();
   }
+}
+
+// Plane-on goldens. The plain run above never reaches the self-healing
+// probe path (PING/PONG/LINK_*) or the hierarchy's region dispatch, so each
+// plane pins its own small run. The scenarios resolve through the CLI
+// parser, so each golden is exactly what `aria_sim <args>` runs. Captured
+// before the message hot path moved to dense per-node tables and type-id
+// dispatch; a host-only change to src/sim, src/overlay or src/core must
+// leave every constant here untouched.
+RunResult run_cli(const std::vector<std::string>& args) {
+  CliOptions options;
+  const auto error = parse_cli(args, options);
+  EXPECT_FALSE(error.has_value()) << *error;
+  return run_scenario(resolve_scenario(options), options.seed);
+}
+
+using TypeTotals = std::map<std::string, sim::TrafficLedger::Entry>;
+
+void expect_traffic(const RunResult& r, const TypeTotals& golden) {
+  const auto actual = r.traffic.by_type();
+  ASSERT_EQ(actual.size(), golden.size());
+  for (const auto& [type, entry] : golden) {
+    const auto it = actual.find(type);
+    ASSERT_NE(it, actual.end()) << type;
+    EXPECT_EQ(it->second.messages, entry.messages) << type;
+    EXPECT_EQ(it->second.bytes, entry.bytes) << type;
+  }
+}
+
+TEST(Determinism, HealingChurnGoldenRun) {
+  const RunResult r =
+      run_cli({"--scenario", "iMixed", "--nodes", "80", "--jobs", "60",
+               "--horizon", "720", "--healing", "--churn", "--seed", "11"});
+  EXPECT_EQ(r.completed(), 60u);
+  EXPECT_EQ(r.tracker.abandoned_count(), 0u);
+  EXPECT_EQ(r.events_fired, 1162714u);
+  EXPECT_EQ(r.tracker.total_reschedules(), 13u);
+  EXPECT_EQ(r.neighbor_evictions, 627u);
+  EXPECT_EQ(r.repair_links, 1034u);
+  EXPECT_EQ(r.false_suspicions, 0u);
+  EXPECT_EQ(r.rejoin_requests, 627u);
+  EXPECT_EQ(r.probe_rounds, 112325u);
+  EXPECT_EQ(r.faults.crashes, 146u);
+  expect_traffic(r, {{"ACCEPT", {985, 126080}},
+                     {"ASSIGN", {73, 74752}},
+                     {"ASSIGN_ACK", {73, 9344}},
+                     {"INFORM", {23676, 24244224}},
+                     {"LINK_ACK", {1034, 264704}},
+                     {"LINK_REQ", {1070, 68480}},
+                     {"NOTIFY", {1661, 212608}},
+                     {"PING", {498508, 31904512}},
+                     {"PONG", {495973, 126969088}},
+                     {"REQUEST", {14398, 14743552}}});
+}
+
+TEST(Determinism, HierarchyGoldenRun) {
+  const RunResult r =
+      run_cli({"--scenario", "iMixed", "--nodes", "400", "--jobs", "60",
+               "--hierarchy", "--regions", "4", "--seed", "5"});
+  EXPECT_EQ(r.completed(), 60u);
+  EXPECT_EQ(r.events_fired, 856945u);
+  EXPECT_EQ(r.tracker.total_reschedules(), 0u);
+  EXPECT_EQ(r.region_queries, 66u);
+  EXPECT_EQ(r.region_forwards, 66u);
+  EXPECT_EQ(r.load_reports, 396000u);
+  EXPECT_EQ(r.digests_sent, 24000u);
+  EXPECT_EQ(r.digests_received, 24000u);
+  EXPECT_EQ(r.intra_region_messages, 425142u);
+  EXPECT_EQ(r.cross_region_messages, 24899u);
+  expect_traffic(r, {{"ACCEPT", {1579, 202112}},
+                     {"ASSIGN", {58, 59392}},
+                     {"INFORM", {3857, 3949568}},
+                     {"REGION_DIGEST", {24000, 6144000}},
+                     {"REGION_FWD", {66, 67584}},
+                     {"REGION_LOAD", {396000, 25344000}},
+                     {"REGION_QUERY", {66, 67584}},
+                     {"REQUEST", {24415, 25000960}}});
 }
 
 }  // namespace
