@@ -256,7 +256,9 @@ void AuditCollector::on_message(NodeId from, NodeId to,
   // injection doing its job) are re-attributed to an informational counter;
   // either way the (originator, region, epoch) key is remembered so the
   // defense clamp's rejections can be matched against real lies.
-  if (const auto* rd = dynamic_cast<const proto::RegionDigestMsg*>(&message)) {
+  const sim::MessageTypeId type = message.type_id();
+  if (const auto* rd =
+          sim::message_cast<proto::RegionDigestMsg>(message, type)) {
     const overlay::RegionDigest& d = rd->digest;
     bool bad = false;
     const bool expected =
@@ -314,7 +316,7 @@ void AuditCollector::on_message(NodeId from, NodeId to,
   // count dispatch decisions, compared against the per-job budget. A nil id
   // (hedging without acknowledged delegation) cannot be deduplicated, so
   // each send counts; the engine always arms assign_ack with the defenses.
-  if (const auto* as = dynamic_cast<const proto::AssignMsg*>(&message)) {
+  if (const auto* as = sim::message_cast<proto::AssignMsg>(message, type)) {
     if (as->hedge) {
       JobAudit& j = job(as->job.id);
       bool fresh = as->assign_id.is_nil();

@@ -84,9 +84,11 @@ void GossipNode::gossip_tick() {
 }
 
 void GossipNode::handle(sim::Envelope env) {
-  if (auto* g = dynamic_cast<const GossipMsg*>(env.message.get())) {
+  const sim::Message& msg = *env.message;
+  const sim::MessageTypeId type = msg.type_id();
+  if (const auto* g = sim::message_cast<GossipMsg>(msg, type)) {
     on_gossip(*g);
-  } else if (auto* asg = dynamic_cast<const AssignMsg*>(env.message.get())) {
+  } else if (const auto* asg = sim::message_cast<AssignMsg>(msg, type)) {
     accept_job(asg->job);
   }
 }

@@ -585,30 +585,33 @@ void AriaNode::accept_job(const grid::JobSpec& spec, NodeId initiator,
 // ---------------------------------------------------------------------------
 
 void AriaNode::handle(sim::Envelope env) {
-  if (auto* req = dynamic_cast<const RequestMsg*>(env.message.get())) {
+  using sim::message_cast;
+  const sim::Message& msg = *env.message;
+  const sim::MessageTypeId type = msg.type_id();
+  if (const auto* req = message_cast<RequestMsg>(msg, type)) {
     on_request(env.from, *req);
-  } else if (auto* acc = dynamic_cast<const AcceptMsg*>(env.message.get())) {
+  } else if (const auto* acc = message_cast<AcceptMsg>(msg, type)) {
     on_accept(*acc);
-  } else if (auto* inf = dynamic_cast<const InformMsg*>(env.message.get())) {
+  } else if (const auto* inf = message_cast<InformMsg>(msg, type)) {
     on_inform(env.from, *inf);
-  } else if (auto* asg = dynamic_cast<const AssignMsg*>(env.message.get())) {
+  } else if (const auto* asg = message_cast<AssignMsg>(msg, type)) {
     on_assign(env.from, *asg);
-  } else if (auto* ack = dynamic_cast<const AssignAckMsg*>(env.message.get())) {
+  } else if (const auto* ack = message_cast<AssignAckMsg>(msg, type)) {
     on_assign_ack(*ack);
-  } else if (auto* ntf = dynamic_cast<const NotifyMsg*>(env.message.get())) {
+  } else if (const auto* ntf = message_cast<NotifyMsg>(msg, type)) {
     on_notify(*ntf);
-  } else if (auto* rej = dynamic_cast<const RejectMsg*>(env.message.get())) {
+  } else if (const auto* rej = message_cast<RejectMsg>(msg, type)) {
     on_reject(env.from, *rej);
-  } else if (hierarchy_on() && handle_region(env)) {
+  } else if (hierarchy_on() && handle_region(env.from, msg, type)) {
     // dispatched by handle_region
   } else if (ctx_.config->healing.enabled) {
-    if (auto* ping = dynamic_cast<const PingMsg*>(env.message.get())) {
+    if (const auto* ping = message_cast<PingMsg>(msg, type)) {
       on_ping(env.from, *ping);
-    } else if (auto* pong = dynamic_cast<const PongMsg*>(env.message.get())) {
+    } else if (const auto* pong = message_cast<PongMsg>(msg, type)) {
       on_pong(*pong);
-    } else if (auto* lr = dynamic_cast<const LinkReqMsg*>(env.message.get())) {
+    } else if (const auto* lr = message_cast<LinkReqMsg>(msg, type)) {
       on_link_req(env.from, *lr);
-    } else if (auto* la = dynamic_cast<const LinkAckMsg*>(env.message.get())) {
+    } else if (const auto* la = message_cast<LinkAckMsg>(msg, type)) {
       on_link_ack(*la);
     }
   }
@@ -1442,11 +1445,13 @@ void AriaNode::probe_tick() {
   for (NodeId n : ctx_.topo->neighbors(self_)) {
     if (!view_.tracked(n)) view_.track(n);
   }
-  for (NodeId n : view_.tracked_peers()) {
+  view_.tracked_peers(peer_scratch_);
+  for (NodeId n : peer_scratch_) {
     if (!ctx_.topo->has_link(self_, n)) view_.untrack(n);
   }
 
-  for (NodeId peer : view_.tracked_peers()) {
+  view_.tracked_peers(peer_scratch_);
+  for (NodeId peer : peer_scratch_) {
     if (view_.outstanding(peer)) {
       // The previous round's probe went unanswered.
       if (view_.record_miss(peer, hp) ==
@@ -1490,10 +1495,16 @@ void AriaNode::maybe_repair() {
 
 std::vector<NodeId> AriaNode::contact_sample() {
   const overlay::HealingParams& hp = ctx_.config->healing;
-  std::vector<NodeId> live = view_.live_neighbors();
-  if (live.empty()) live = ctx_.topo->neighbors(self_);
-  if (live.size() <= hp.gossip_contacts) return live;
-  return probe_rng_.sample(live, hp.gossip_contacts);
+  std::vector<NodeId>& pool = peer_scratch_;
+  view_.live_neighbors(pool);
+  if (pool.empty()) pool = ctx_.topo->neighbors(self_);
+  if (pool.size() > hp.gossip_contacts) {
+    // The draws of probe_rng_.sample(pool, k): shuffle the whole pool, keep
+    // the first k.
+    probe_rng_.shuffle(pool);
+    pool.resize(hp.gossip_contacts);
+  }
+  return pool;  // the copy is the message's own contact list
 }
 
 void AriaNode::on_ping(NodeId from, const PingMsg& msg) {
@@ -1578,19 +1589,19 @@ bool AriaNode::wide_flood(std::size_t attempt) const {
   return hierarchy_on() && every != 0 && attempt % every == 0;
 }
 
-bool AriaNode::handle_region(const sim::Envelope& env) {
-  if (auto* rl = dynamic_cast<const RegionLoadMsg*>(env.message.get())) {
+bool AriaNode::handle_region(NodeId from, const sim::Message& msg,
+                             sim::MessageTypeId type) {
+  using sim::message_cast;
+  if (const auto* rl = message_cast<RegionLoadMsg>(msg, type)) {
     on_region_load(*rl);
-  } else if (auto* rd =
-                 dynamic_cast<const RegionDigestMsg*>(env.message.get())) {
+  } else if (const auto* rd = message_cast<RegionDigestMsg>(msg, type)) {
     on_region_digest(*rd);
-  } else if (auto* rq =
-                 dynamic_cast<const RegionQueryMsg*>(env.message.get())) {
+  } else if (const auto* rq = message_cast<RegionQueryMsg>(msg, type)) {
     on_region_query(*rq);
-  } else if (auto* rf = dynamic_cast<const RegionFwdMsg*>(env.message.get())) {
+  } else if (const auto* rf = message_cast<RegionFwdMsg>(msg, type)) {
     on_region_fwd(*rf);
-  } else if (auto* rp = dynamic_cast<const RegionPullMsg*>(env.message.get())) {
-    on_region_pull(env.from, *rp);
+  } else if (const auto* rp = message_cast<RegionPullMsg>(msg, type)) {
+    on_region_pull(from, *rp);
   } else {
     return false;
   }

@@ -363,8 +363,9 @@ class AriaNode {
 
   // --- hierarchy plane (docs/hierarchy.md) --------------------------------
   bool hierarchy_on() const { return ctx_.config->hierarchy.enabled; }
-  /// Dispatches REGION_* messages; false if `env` is not one of them.
-  bool handle_region(const sim::Envelope& env);
+  /// Dispatches REGION_* messages; false if `msg` is not one of them.
+  bool handle_region(NodeId from, const sim::Message& msg,
+                     sim::MessageTypeId type);
   /// Region-scoped flood target pick when the plane is on; the plain
   /// pick_targets otherwise (identical RNG draws to pre-plane code).
   /// `wide` drops the region filter for scope-widened REQUEST floods.
@@ -546,6 +547,11 @@ class AriaNode {
   /// rejoin path LINK_REQs them on restart.
   std::vector<NodeId> stable_contacts_;
   std::uint32_t probe_seq_{0};
+  /// Per-node scratch for the probe round's peer listings and the PONG /
+  /// LINK_ACK contact sample, so the probe path allocates nothing beyond
+  /// the messages themselves. A member (not a static) because sweeps run
+  /// simulations on several threads.
+  std::vector<NodeId> peer_scratch_;
 
   // --- hierarchy plane state (all inert when the plane is off) ------------
   /// A member's latest load report, held by aggregator candidates.

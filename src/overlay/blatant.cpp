@@ -50,6 +50,8 @@ void BlatantMaintainer::discovery_ant(NodeId origin) {
   const NodeId target = random_walk(origin);
   if (target == origin || !target.valid()) return;
   if (topo_.has_link(origin, target)) return;
+  // Unbounded on purpose: an unreachable target (nullopt) must not read as
+  // "farther than alpha".
   const auto d = topo_.distance(origin, target);
   if (d && *d > params_.alpha) {
     topo_.add_link(origin, target);
@@ -66,10 +68,11 @@ void BlatantMaintainer::pruning_ant(NodeId origin) {
   // Both endpoints must stay above the degree floor...
   if (topo_.degree(victim) <= params_.min_degree) return;
   // ...and an alternative path of length <= beta must exist, which both
-  // preserves connectivity and keeps the alpha bound intact.
-  const auto detour =
-      topo_.distance_without_link(origin, victim, origin, victim);
-  if (detour && *detour <= params_.beta) {
+  // preserves connectivity and keeps the alpha bound intact. Only that
+  // yes/no matters, so the search stops at depth beta.
+  const auto detour = topo_.distance_without_link(origin, victim, origin,
+                                                  victim, params_.beta);
+  if (detour) {
     topo_.remove_link(origin, victim);
     ++stats_.links_removed;
   }

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -81,17 +82,17 @@ class FloodRelay {
   /// node id, cached lazily) — the PDES determinism-contract rule
   /// (docs/pdes.md): each node's pick sequence must depend only on its own
   /// relay order, which is identical under sequential and sharded execution.
+  /// The cache is dense by NodeId::index(), so a pick does no hashing.
   Rng& pick_rng(NodeId node) {
-    auto it = node_rng_.find(node);
-    if (it == node_rng_.end()) {
-      it = node_rng_.emplace(node, rng_.fork(node.value())).first;
-    }
-    return it->second;
+    if (node.index() >= node_rng_.size()) node_rng_.resize(node.index() + 1);
+    std::optional<Rng>& rng = node_rng_[node.index()];
+    if (!rng) rng.emplace(rng_.fork(node.value()));
+    return *rng;
   }
 
   const Topology* topo_;
   Rng rng_;
-  std::unordered_map<NodeId, Rng> node_rng_;
+  std::vector<std::optional<Rng>> node_rng_;
   Duration ttl_{Duration::zero()};
   std::unordered_map<Uuid, Entry> seen_;
   // (first_seen, id) in insertion order; a stale record whose first_seen no

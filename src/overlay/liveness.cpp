@@ -2,80 +2,94 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace aria::overlay {
 
+std::vector<NeighborView::Entry>::const_iterator NeighborView::lower(
+    NodeId peer) const {
+  return std::lower_bound(
+      peers_.begin(), peers_.end(), peer,
+      [](const Entry& e, NodeId id) { return e.id < id; });
+}
+
+const NeighborView::Peer* NeighborView::find(NodeId peer) const {
+  const auto it = lower(peer);
+  return it != peers_.end() && it->id == peer ? &it->peer : nullptr;
+}
+
+NeighborView::Peer* NeighborView::find(NodeId peer) {
+  return const_cast<Peer*>(std::as_const(*this).find(peer));
+}
+
 void NeighborView::track(NodeId peer) {
   assert(peer.valid());
-  Peer& p = peers_[peer];
-  p.state = PeerState::kLive;
-  p.missed = 0;
-  p.outstanding = false;
+  Peer* p = find(peer);
+  if (p == nullptr) p = &peers_.insert(lower(peer), Entry{peer, Peer{}})->peer;
+  p->state = PeerState::kLive;
+  p->missed = 0;
+  p->outstanding = false;
   // A revived peer is a neighbor again; it no longer belongs in the
   // candidate cache.
   contacts_.erase(std::remove(contacts_.begin(), contacts_.end(), peer),
                   contacts_.end());
 }
 
-void NeighborView::untrack(NodeId peer) { peers_.erase(peer); }
+void NeighborView::untrack(NodeId peer) {
+  const auto it = lower(peer);
+  if (it != peers_.end() && it->id == peer) peers_.erase(it);
+}
 
-bool NeighborView::tracked(NodeId peer) const { return peers_.contains(peer); }
+bool NeighborView::tracked(NodeId peer) const { return find(peer) != nullptr; }
 
 PeerState NeighborView::state(NodeId peer) const {
-  const auto it = peers_.find(peer);
-  return it == peers_.end() ? PeerState::kEvicted : it->second.state;
+  const Peer* p = find(peer);
+  return p == nullptr ? PeerState::kEvicted : p->state;
 }
 
-std::vector<NodeId> NeighborView::tracked_peers() const {
-  std::vector<NodeId> out;
-  out.reserve(peers_.size());
-  for (const auto& [id, _] : peers_) out.push_back(id);
-  return out;
+void NeighborView::tracked_peers(std::vector<NodeId>& out) const {
+  out.clear();
+  for (const Entry& e : peers_) out.push_back(e.id);
 }
 
-std::vector<NodeId> NeighborView::targets() const {
-  std::vector<NodeId> out;
-  out.reserve(peers_.size());
-  for (const auto& [id, p] : peers_) {
-    if (p.state != PeerState::kEvicted) out.push_back(id);
+void NeighborView::targets(std::vector<NodeId>& out) const {
+  out.clear();
+  for (const Entry& e : peers_) {
+    if (e.peer.state != PeerState::kEvicted) out.push_back(e.id);
   }
-  return out;
 }
 
-std::vector<NodeId> NeighborView::live_neighbors() const {
-  std::vector<NodeId> out;
-  out.reserve(peers_.size());
-  for (const auto& [id, p] : peers_) {
-    if (p.state == PeerState::kLive) out.push_back(id);
+void NeighborView::live_neighbors(std::vector<NodeId>& out) const {
+  out.clear();
+  for (const Entry& e : peers_) {
+    if (e.peer.state == PeerState::kLive) out.push_back(e.id);
   }
-  return out;
 }
 
 std::size_t NeighborView::live_degree() const {
-  std::size_t n = 0;
-  for (const auto& [id, p] : peers_) {
-    if (p.state == PeerState::kLive) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(peers_.begin(), peers_.end(), [](const Entry& e) {
+        return e.peer.state == PeerState::kLive;
+      }));
 }
 
 void NeighborView::probe_sent(NodeId peer, std::uint32_t seq) {
-  const auto it = peers_.find(peer);
-  if (it == peers_.end()) return;
-  it->second.outstanding = true;
-  it->second.probe_seq = seq;
+  Peer* p = find(peer);
+  if (p == nullptr) return;
+  p->outstanding = true;
+  p->probe_seq = seq;
 }
 
 bool NeighborView::outstanding(NodeId peer) const {
-  const auto it = peers_.find(peer);
-  return it != peers_.end() && it->second.outstanding;
+  const Peer* p = find(peer);
+  return p != nullptr && p->outstanding;
 }
 
 NeighborView::Transition NeighborView::record_miss(
     NodeId peer, const HealingParams& params) {
-  const auto it = peers_.find(peer);
-  if (it == peers_.end()) return Transition::kNone;
-  Peer& p = it->second;
+  Peer* found = find(peer);
+  if (found == nullptr) return Transition::kNone;
+  Peer& p = *found;
   p.outstanding = false;
   ++p.missed;
   if (p.missed >= params.evict_after) {
@@ -91,9 +105,9 @@ NeighborView::Transition NeighborView::record_miss(
 }
 
 void NeighborView::pong_received(NodeId peer, std::uint32_t seq) {
-  const auto it = peers_.find(peer);
-  if (it == peers_.end()) return;
-  Peer& p = it->second;
+  Peer* found = find(peer);
+  if (found == nullptr) return;
+  Peer& p = *found;
   // A straggler from an older round says nothing about the current probe.
   if (!p.outstanding || p.probe_seq != seq) return;
   p.outstanding = false;
@@ -107,7 +121,7 @@ void NeighborView::pong_received(NodeId peer, std::uint32_t seq) {
 void NeighborView::learn_contact(NodeId contact, NodeId self,
                                  std::size_t cache_bound) {
   if (!contact.valid() || contact == self) return;
-  if (peers_.contains(contact)) return;
+  if (tracked(contact)) return;
   if (std::find(contacts_.begin(), contacts_.end(), contact) !=
       contacts_.end()) {
     return;
@@ -122,7 +136,7 @@ NodeId NeighborView::take_contact() {
   while (!contacts_.empty()) {
     const NodeId c = contacts_.front();
     contacts_.erase(contacts_.begin());
-    if (!peers_.contains(c)) return c;
+    if (!tracked(c)) return c;
   }
   return kInvalidNode;
 }

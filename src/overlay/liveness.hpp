@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -81,17 +80,20 @@ class NeighborView {
   bool tracked(NodeId peer) const;
   PeerState state(NodeId peer) const;  // kEvicted for unknown peers
 
+  // The three listings below replace `out`'s contents, so a caller on the
+  // probe path can keep one buffer and never allocate per round.
+
   /// Every tracked peer regardless of state, in NodeId order (the probe
   /// loop's iteration set).
-  std::vector<NodeId> tracked_peers() const;
+  void tracked_peers(std::vector<NodeId>& out) const;
 
   /// Tracked peers that still belong in the flood/gossip target set (live +
   /// suspected; suspected peers keep receiving traffic until evicted), in
   /// NodeId order.
-  std::vector<NodeId> targets() const;
+  void targets(std::vector<NodeId>& out) const;
 
   /// Live (unsuspected) tracked peers, in NodeId order.
-  std::vector<NodeId> live_neighbors() const;
+  void live_neighbors(std::vector<NodeId>& out) const;
   std::size_t live_degree() const;
   std::size_t tracked_count() const { return peers_.size(); }
 
@@ -139,7 +141,21 @@ class NeighborView {
     std::uint32_t probe_seq{0};
   };
 
-  std::map<NodeId, Peer> peers_;   // ordered: deterministic probe order
+  struct Entry {
+    NodeId id;
+    Peer peer;
+  };
+
+  /// First entry whose id is not below `peer` (binary search).
+  std::vector<Entry>::const_iterator lower(NodeId peer) const;
+  /// The entry for `peer`, or null when untracked.
+  Peer* find(NodeId peer);
+  const Peer* find(NodeId peer) const;
+
+  // Sorted by id: deterministic probe order. A flat vector rather than a
+  // tree: a node tracks only its handful of overlay neighbors, and the probe
+  // path reads this on every PING and PONG.
+  std::vector<Entry> peers_;
   std::vector<NodeId> contacts_;   // FIFO insertion order, bounded
   Stats stats_;
 };

@@ -74,24 +74,35 @@ std::vector<NodeId> Topology::nodes() const {
 }
 
 std::optional<std::size_t> Topology::bfs(NodeId a, NodeId b, NodeId skip_x,
-                                         NodeId skip_y) const {
+                                         NodeId skip_y,
+                                         std::size_t max_hops) const {
   if (!has_node(a) || !has_node(b)) return std::nullopt;
   if (a == b) return 0;
-  std::vector<std::uint32_t> dist(present_.size(), kUnvisited);
-  dist[a.index()] = 0;
-  std::vector<NodeId> queue{a};
-  for (std::size_t head = 0; head < queue.size(); ++head) {
+  if (bfs_dist_.size() < present_.size()) {
+    bfs_dist_.resize(present_.size(), kUnvisited);
+  }
+  std::vector<NodeId>& queue = bfs_queue_;
+  queue.assign(1, a);
+  bfs_dist_[a.index()] = 0;
+  std::optional<std::size_t> found;
+  for (std::size_t head = 0; head < queue.size() && !found; ++head) {
     const NodeId u = queue[head];
-    const std::uint32_t du = dist[u.index()];
+    const std::uint32_t du = bfs_dist_[u.index()];
+    // BFS pops in depth order, so nothing later can be within reach either.
+    if (du >= max_hops) break;
     for (NodeId v : adj_[u.index()]) {
       if ((u == skip_x && v == skip_y) || (u == skip_y && v == skip_x)) continue;
-      if (dist[v.index()] != kUnvisited) continue;
-      if (v == b) return du + 1;
-      dist[v.index()] = du + 1;
+      if (bfs_dist_[v.index()] != kUnvisited) continue;
+      if (v == b) {
+        found = du + 1;
+        break;
+      }
+      bfs_dist_[v.index()] = du + 1;
       queue.push_back(v);
     }
   }
-  return std::nullopt;
+  for (NodeId v : queue) bfs_dist_[v.index()] = kUnvisited;
+  return found;
 }
 
 void Topology::bfs_all(NodeId src, std::vector<std::uint32_t>& dist,
@@ -112,13 +123,12 @@ void Topology::bfs_all(NodeId src, std::vector<std::uint32_t>& dist,
 }
 
 std::optional<std::size_t> Topology::distance(NodeId a, NodeId b) const {
-  return bfs(a, b, kInvalidNode, kInvalidNode);
+  return bfs(a, b, kInvalidNode, kInvalidNode, kUnbounded);
 }
 
-std::optional<std::size_t> Topology::distance_without_link(NodeId a, NodeId b,
-                                                           NodeId x,
-                                                           NodeId y) const {
-  return bfs(a, b, x, y);
+std::optional<std::size_t> Topology::distance_without_link(
+    NodeId a, NodeId b, NodeId x, NodeId y, std::size_t max_hops) const {
+  return bfs(a, b, x, y, max_hops);
 }
 
 bool Topology::connected() const {

@@ -65,9 +65,13 @@ class Topology {
   std::optional<std::size_t> distance(NodeId a, NodeId b) const;
 
   /// BFS distance with one link (x, y) treated as absent — used by the
-  /// maintenance layer to test whether a link is safely removable.
-  std::optional<std::size_t> distance_without_link(NodeId a, NodeId b, NodeId x,
-                                                   NodeId y) const;
+  /// maintenance layer to test whether a link is safely removable. The
+  /// search stops at depth `max_hops`: a `b` farther than that reads as
+  /// nullopt, exactly like an unreachable one, so "is there a detour of at
+  /// most max_hops?" costs only the ball it explores.
+  std::optional<std::size_t> distance_without_link(
+      NodeId a, NodeId b, NodeId x, NodeId y,
+      std::size_t max_hops = kUnbounded) const;
 
   /// True when every node can reach every other (vacuously true when empty).
   bool connected() const;
@@ -88,9 +92,12 @@ class Topology {
 
  private:
   static constexpr std::uint32_t kUnvisited = UINT32_MAX;
+  static constexpr std::size_t kUnbounded = SIZE_MAX;
 
+  /// Point-to-point BFS over the scratch buffers below, skipping link
+  /// (skip_x, skip_y) and giving up beyond depth max_hops.
   std::optional<std::size_t> bfs(NodeId a, NodeId b, NodeId skip_x,
-                                 NodeId skip_y) const;
+                                 NodeId skip_y, std::size_t max_hops) const;
   /// Single-source BFS into a reusable flat distance array (kUnvisited =
   /// unreached); returns the visit queue (every reached node, BFS order).
   void bfs_all(NodeId src, std::vector<std::uint32_t>& dist,
@@ -100,6 +107,12 @@ class Topology {
   std::vector<std::uint8_t> present_;     // slot occupancy
   std::size_t node_count_{0};
   std::size_t links_{0};
+  // bfs() scratch. bfs_dist_ reads kUnvisited everywhere between calls
+  // (each search resets only the entries it visited), so a search neither
+  // allocates nor pays for the node count. Mutable because distance queries
+  // are logically const; one Topology must not answer two concurrently.
+  mutable std::vector<std::uint32_t> bfs_dist_;
+  mutable std::vector<NodeId> bfs_queue_;
   static const std::vector<NodeId> kEmpty;
 };
 

@@ -108,13 +108,12 @@ std::pair<double, double> FaultPlane::biased_rates(MessageTypeId type) const {
 }
 
 Rng& FaultPlane::verdict_rng(NodeId from) {
-  auto it = verdict_rng_.find(from);
-  if (it == verdict_rng_.end()) {
-    it = verdict_rng_
-             .emplace(from, Rng{config_.seed}.fork(0xFA17u).fork(from.value()))
-             .first;
+  if (from.index() >= verdict_rng_.size()) {
+    verdict_rng_.resize(from.index() + 1);
   }
-  return it->second;
+  std::optional<Rng>& rng = verdict_rng_[from.index()];
+  if (!rng) rng.emplace(Rng{config_.seed}.fork(0xFA17u).fork(from.value()));
+  return *rng;
 }
 
 FaultPlane::Verdict FaultPlane::on_send(NodeId from, NodeId to,

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -283,7 +282,8 @@ class FaultPlane {
 
   FaultConfig config_;
   Counters counters_;
-  std::unordered_map<NodeId, Rng> verdict_rng_;
+  /// Dense by NodeId::index(), grown on a sender's first verdict.
+  std::vector<std::optional<Rng>> verdict_rng_;
   /// (loss_mult, dup_mult) per interned message-type index; types beyond
   /// the vector (or interned later without a bias entry) are unbiased.
   std::vector<std::pair<double, double>> bias_;

@@ -15,8 +15,10 @@
 #include <cassert>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <typeinfo>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -54,6 +56,18 @@ class Message {
   static constexpr std::uint32_t kNoHops = UINT32_MAX;
   virtual std::uint32_t flood_hops_left() const { return kNoHops; }
 };
+
+/// Checked downcast by interned type id, the handler dispatch idiom:
+/// returns `message` as an `M` when `type` (the message's type_id(), read
+/// once by the caller) is `M::static_type()`, else null. One integer compare
+/// instead of an RTTI walk; exact because every wire type interns its own
+/// name and is final.
+template <typename M>
+const M* message_cast(const Message& message, MessageTypeId type) {
+  if (type != M::static_type()) return nullptr;
+  assert(typeid(message) == typeid(M));
+  return static_cast<const M*>(&message);
+}
 
 /// Observer of sends, for the tracing plane (src/trace). Attached like the
 /// FaultPlane — a non-owning pointer the network never dereferences unless
@@ -118,21 +132,25 @@ class Network {
   /// Attaches a node; replaces any previous handler for the same id.
   void attach(NodeId node, Handler handler) {
     assert(node.valid() && handler);
-    nodes_[node] = NodeState{std::move(handler), /*up=*/true};
+    if (node.index() >= nodes_.size()) nodes_.resize(node.index() + 1);
+    nodes_[node.index()] = NodeState{std::move(handler), /*up=*/true};
   }
 
-  void detach(NodeId node) { nodes_.erase(node); }
+  void detach(NodeId node) {
+    if (node.index() < nodes_.size()) nodes_[node.index()] = NodeState{};
+  }
 
   /// Simulates a crash/recovery: down nodes silently drop incoming traffic.
   void set_up(NodeId node, bool up) {
-    auto it = nodes_.find(node);
-    if (it != nodes_.end()) it->second.up = up;
+    if (is_attached(node)) nodes_[node.index()].up = up;
   }
 
-  bool is_attached(NodeId node) const { return nodes_.contains(node); }
+  bool is_attached(NodeId node) const {
+    return node.index() < nodes_.size() &&
+           static_cast<bool>(nodes_[node.index()].handler);
+  }
   bool is_up(NodeId node) const {
-    auto it = nodes_.find(node);
-    return it != nodes_.end() && it->second.up;
+    return is_attached(node) && nodes_[node.index()].up;
   }
 
   /// Sends `message` from `from` to `to`; delivery happens after the
@@ -215,9 +233,10 @@ class Network {
   std::uint64_t duplicated_messages() const { return duplicated_; }
 
  private:
+  /// An empty handler marks an unattached slot.
   struct NodeState {
     Handler handler;
-    bool up{true};
+    bool up{false};
   };
 
   void schedule_delivery(NodeId from, NodeId to, MessageTypeId type,
@@ -235,8 +254,11 @@ class Network {
   /// keeps every delivery key above 0, the key timers and engine events
   /// schedule with.
   std::uint64_t next_delivery_key(NodeId from) {
+    if (from.index() >= delivery_seq_.size()) {
+      delivery_seq_.resize(from.index() + 1, 0);
+    }
     return ((static_cast<std::uint64_t>(from.value()) + 1) << 32) |
-           (delivery_seq_[from]++ & 0xFFFFFFFFull);
+           (delivery_seq_[from.index()]++ & 0xFFFFFFFFull);
   }
 
   /// Latency jitter is drawn from a per-sender stream (base_rng_ forked on
@@ -246,11 +268,12 @@ class Network {
   /// order only, which is identical under sequential and sharded execution —
   /// a shared stream would depend on the global interleaving of all senders.
   Rng& jitter_rng(NodeId from) {
-    auto it = sender_rng_.find(from);
-    if (it == sender_rng_.end()) {
-      it = sender_rng_.emplace(from, base_rng_.fork(from.value())).first;
+    if (from.index() >= sender_rng_.size()) {
+      sender_rng_.resize(from.index() + 1);
     }
-    return it->second;
+    std::optional<Rng>& rng = sender_rng_[from.index()];
+    if (!rng) rng.emplace(base_rng_.fork(from.value()));
+    return *rng;
   }
 
   /// Sampling gate + forward to the tap; called only when tap_ != nullptr.
@@ -263,15 +286,20 @@ class Network {
   Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
   Rng base_rng_;
-  std::unordered_map<NodeId, Rng> sender_rng_;
-  std::unordered_map<NodeId, std::uint64_t> delivery_seq_;
+  // The per-node tables (sender_rng_, delivery_seq_, nodes_) are dense
+  // vectors indexed by NodeId::index() (ids are small engine-assigned
+  // integers), so the per-message path does no hashing. They grow on
+  // attach() and on the first send from an id, which covers nodes that join
+  // mid-run.
+  std::vector<std::optional<Rng>> sender_rng_;
+  std::vector<std::uint64_t> delivery_seq_;
   TrafficLedger traffic_;
   FaultPlane* faults_{nullptr};
   RemoteRoute* remote_{nullptr};
   MessageTap* tap_{nullptr};
   std::uint64_t tap_every_{1};
   std::uint64_t tap_counter_{0};
-  std::unordered_map<NodeId, NodeState> nodes_;
+  std::vector<NodeState> nodes_;
   std::size_t region_count_{0};
   std::uint64_t intra_region_messages_{0};
   std::uint64_t cross_region_messages_{0};

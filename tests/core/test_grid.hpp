@@ -54,6 +54,7 @@ class TestGrid {
     ctx.config = &config;
     ctx.ert_error = &ert_error;
     ctx.observer = &tracker;
+    ctx.healing_topo = &topo;  // consulted only with config.healing on
     const NodeId id{static_cast<std::uint32_t>(nodes.size())};
     topo.add_node(id);
     nodes.push_back(std::make_unique<proto::AriaNode>(

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+
+#include "common/rng.hpp"
 
 namespace aria::overlay {
 namespace {
@@ -105,6 +108,38 @@ TEST(Topology, DistanceWithoutLinkFindsDetour) {
   EXPECT_EQ(t.distance_without_link(n(1), n(3), n(1), n(3)), 2u);
   // Removing a bridge disconnects.
   EXPECT_FALSE(t.distance_without_link(n(1), n(4), n(3), n(4)).has_value());
+}
+
+TEST(Topology, BoundedDetourMatchesUnboundedVerdict) {
+  // The depth-capped search must give exactly the verdict of the full one:
+  // found within k iff the true detour is <= k, with the same length.
+  Rng rng{17};
+  for (int graph = 0; graph < 20; ++graph) {
+    Topology t;
+    const auto size = static_cast<std::uint32_t>(rng.uniform_int(8, 40));
+    for (std::uint32_t i = 1; i < size; ++i) {
+      const auto parent = static_cast<std::uint32_t>(rng.uniform_int(0, i - 1));
+      t.add_link(n(i), n(parent));
+    }
+    for (std::uint32_t extra = 0; extra < size / 2; ++extra) {
+      t.add_link(n(static_cast<std::uint32_t>(rng.uniform_int(0, size - 1))),
+                 n(static_cast<std::uint32_t>(rng.uniform_int(0, size - 1))));
+    }
+    for (std::uint32_t a = 0; a < size; ++a) {
+      for (NodeId b : std::vector<NodeId>(t.neighbors(n(a)))) {
+        const auto full = t.distance_without_link(n(a), b, n(a), b);
+        for (std::size_t k = 0; k <= 6; ++k) {
+          const auto capped = t.distance_without_link(n(a), b, n(a), b, k);
+          const std::optional<std::size_t> want =
+              full && *full <= k ? full : std::nullopt;
+          ASSERT_EQ(capped, want) << a << "-" << b.value() << " k=" << k;
+        }
+      }
+    }
+    // Queries keep working after the graph grows past the scratch size.
+    t.add_link(n(size - 1), n(size + 50));
+    EXPECT_EQ(t.distance(n(size - 1), n(size + 50)), 1u);
+  }
 }
 
 TEST(Topology, ConnectedDetection) {

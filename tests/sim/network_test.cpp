@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 namespace aria::sim {
@@ -148,6 +150,106 @@ TEST_F(NetworkTest, ReattachReplacesHandler) {
   sim_.run();
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
+}
+
+// --- dense per-node tables ---------------------------------------------------
+
+TEST_F(NetworkTest, TablesGrowForIdsBeyondTheirSize) {
+  // Ids far past every table, in descending order, and control calls on ids
+  // nothing ever attached: all must behave like the small-id cases above.
+  int far = 0, near = 0;
+  net_.set_up(NodeId{5000}, true);  // unknown id: no-op
+  net_.detach(NodeId{7000});        // unknown id: no-op
+  EXPECT_FALSE(net_.is_attached(NodeId{5000}));
+  EXPECT_FALSE(net_.is_up(NodeId{5000}));
+  net_.attach(NodeId{1000}, [&](Envelope) { ++far; });
+  net_.attach(NodeId{3}, [&](Envelope) { ++near; });
+  EXPECT_TRUE(net_.is_attached(NodeId{1000}));
+  EXPECT_TRUE(net_.is_up(NodeId{1000}));
+  EXPECT_FALSE(net_.is_attached(NodeId{999}));
+  net_.set_up(NodeId{1000}, false);
+  EXPECT_FALSE(net_.is_up(NodeId{1000}));
+  net_.set_up(NodeId{1000}, true);
+  // First send from an id beyond the sender tables.
+  net_.send(NodeId{4000}, NodeId{1000}, std::make_unique<TestMsg>(0));
+  net_.send(NodeId{4000}, NodeId{3}, std::make_unique<TestMsg>(0));
+  sim_.run();
+  EXPECT_EQ(far, 1);
+  EXPECT_EQ(near, 1);
+  net_.detach(NodeId{1000});
+  EXPECT_FALSE(net_.is_attached(NodeId{1000}));
+  EXPECT_FALSE(net_.is_up(NodeId{1000}));
+  net_.set_up(NodeId{1000}, true);  // detached: stays unattached
+  EXPECT_FALSE(net_.is_attached(NodeId{1000}));
+  EXPECT_TRUE(net_.is_attached(NodeId{3}));
+}
+
+TEST_F(NetworkTest, DeliveryToDetachedOrDownIdCountsAsDrop) {
+  int received = 0;
+  for (std::uint32_t id : {10u, 11u, 12u}) {
+    net_.attach(NodeId{id}, [&](Envelope) { ++received; });
+  }
+  net_.detach(NodeId{10});
+  net_.set_up(NodeId{11}, false);
+  for (std::uint32_t id : {10u, 11u, 12u, 13u}) {
+    net_.send(NodeId{1}, NodeId{id}, std::make_unique<TestMsg>(0));
+  }
+  sim_.run();
+  EXPECT_EQ(received, 1);  // only 12 is attached and up
+  EXPECT_EQ(net_.delivered_messages(), 1u);
+  EXPECT_EQ(net_.dropped_messages(), 3u);  // detached, down, never attached
+  EXPECT_EQ(net_.traffic().drops("TEST"), 3u);
+}
+
+/// Records the sender-side stamp of every send instead of delivering it.
+struct StampRecorder final : RemoteRoute {
+  struct Stamp {
+    NodeId from;
+    NodeId to;
+    TimePoint deliver_at;
+    std::uint64_t key;
+  };
+  bool is_remote(NodeId) const override { return true; }
+  void forward(NodeId from, NodeId to, TimePoint deliver_at, std::uint64_t key,
+               std::unique_ptr<Message>) override {
+    stamps.push_back(Stamp{from, to, deliver_at, key});
+  }
+  std::vector<Stamp> stamps;
+};
+
+TEST(NetworkKeys, PerSenderKeysAndJitterFollowTheSendScript) {
+  // A fixed interleaved send script. Each sender's delivery keys must count
+  // its own sends from zero, and its jitter must be the stream of the base
+  // RNG forked on its id, drawn in its own send order, whatever the other
+  // senders did in between and however large the ids are.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> script = {
+      {3, 9}, {900, 3}, {3, 900}, {7, 3}, {900, 7}, {3, 7}, {7, 900}, {3, 9}};
+  Simulator sim;
+  Network net{sim, std::make_unique<GeoLatencyModel>(), Rng{5}};
+  StampRecorder route;
+  net.set_remote_route(&route);
+  for (const auto& [from, to] : script) {
+    net.send(NodeId{from}, NodeId{to}, std::make_unique<TestMsg>(0));
+  }
+  ASSERT_EQ(route.stamps.size(), script.size());
+
+  std::map<std::uint32_t, std::uint64_t> count;
+  std::map<std::uint32_t, Rng> jitter;
+  GeoLatencyModel model;
+  Rng base{5};
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const auto [from, to] = script[i];
+    const auto& s = route.stamps[i];
+    EXPECT_EQ(s.from, NodeId{from});
+    EXPECT_EQ(s.to, NodeId{to});
+    const std::uint64_t seq = count[from]++;
+    EXPECT_EQ(s.key, ((std::uint64_t{from} + 1) << 32) | seq) << i;
+    auto it = jitter.try_emplace(from, base.fork(from)).first;
+    const Duration delay = model.latency(NodeId{from}, NodeId{to}, it->second);
+    EXPECT_EQ(s.deliver_at, TimePoint::origin() + delay) << i;
+  }
+  EXPECT_EQ((std::vector<std::uint64_t>{count[3], count[7], count[900]}),
+            (std::vector<std::uint64_t>{4, 2, 2}));
 }
 
 TEST(NetworkStress, ThousandsOfMessagesDeliveredExactlyOnce) {
