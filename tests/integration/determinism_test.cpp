@@ -7,8 +7,10 @@
 // cross-kernel comparison in the bench history.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "workload/cli.hpp"
@@ -153,6 +155,69 @@ TEST(Determinism, HierarchyGoldenRun) {
                      {"REGION_LOAD", {396000, 25344000}},
                      {"REGION_QUERY", {66, 67584}},
                      {"REQUEST", {24415, 25000960}}});
+}
+
+// Whole-result fingerprint pins. run_fingerprint renders every
+// deterministic field of a RunResult (per-job lifecycles, per-type traffic,
+// plane counters, series checksums; floats as hexfloat), so equal strings
+// mean bit-equal results, not just equal aggregates.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+ScenarioConfig cli_scenario(const std::vector<std::string>& args) {
+  CliOptions options;
+  const auto error = parse_cli(args, options);
+  EXPECT_FALSE(error.has_value()) << *error;
+  return resolve_scenario(options);
+}
+
+struct FingerprintCase {
+  const char* name;
+  ScenarioConfig (*make)();
+  std::uint64_t seed;
+};
+
+const FingerprintCase kFingerprintCases[] = {
+    {"default", golden_scenario, 42},
+    {"hierarchy",
+     [] {
+       return cli_scenario({"--scenario", "iMixed", "--nodes", "120",
+                            "--jobs", "100", "--horizon", "1200",
+                            "--hierarchy"});
+     },
+     7},
+    {"churn-loss",
+     [] {
+       return cli_scenario({"--scenario", "iMixed", "--nodes", "120",
+                            "--jobs", "100", "--horizon", "1200", "--churn",
+                            "--loss", "0.02"});
+     },
+     7},
+};
+
+TEST(Determinism, SameSeedFingerprintsAreEqualAcrossPlanes) {
+  for (const FingerprintCase& c : kFingerprintCases) {
+    const ScenarioConfig cfg = c.make();
+    const std::string a = run_fingerprint(run_scenario(cfg, c.seed));
+    const std::string b = run_fingerprint(run_scenario(cfg, c.seed));
+    EXPECT_FALSE(a.empty()) << c.name;
+    EXPECT_EQ(a, b) << c.name;
+  }
+}
+
+// FNV-1a of the default run's fingerprint, captured before the sharded
+// executor was removed. Any change to what a plain run computes moves it.
+constexpr std::uint64_t kGoldenFingerprintHash = 0xb2e877a5477131f4ULL;
+
+TEST(Determinism, GoldenRunFingerprintMatchesRecordedHash) {
+  const std::string fp = run_fingerprint(run_scenario(golden_scenario(), 42));
+  EXPECT_EQ(fnv1a(fp), kGoldenFingerprintHash) << fp;
 }
 
 }  // namespace
