@@ -79,9 +79,9 @@ class FloodRelay {
   void sweep(TimePoint now);
 
   /// Target picks draw from a per-relaying-node stream (rng_ forked on the
-  /// node id, cached lazily) — the PDES determinism-contract rule
-  /// (docs/pdes.md): each node's pick sequence must depend only on its own
-  /// relay order, which is identical under sequential and sharded execution.
+  /// node id, cached lazily) — the per-entity RNG rule of docs/kernel.md
+  /// "Determinism contract": each node's pick sequence depends only on its
+  /// own relay order, not on the global interleaving of relays.
   /// The cache is dense by NodeId::index(), so a pick does no hashing.
   Rng& pick_rng(NodeId node) {
     if (node.index() >= node_rng_.size()) node_rng_.resize(node.index() + 1);

@@ -194,19 +194,6 @@ class FaultPlane {
     std::uint64_t targeted_crashes{0};
 
     std::uint64_t injected_drops() const { return lost + partition_drops; }
-
-    /// Field-wise sum — used after a sharded run to fold the per-shard
-    /// planes' message-fault tallies into the engine plane's counters
-    /// (which alone hold the churn-driven crash/restart counts).
-    void absorb(const Counters& other) {
-      lost += other.lost;
-      duplicated += other.duplicated;
-      delayed += other.delayed;
-      partition_drops += other.partition_drops;
-      crashes += other.crashes;
-      restarts += other.restarts;
-      targeted_crashes += other.targeted_crashes;
-    }
   };
 
   explicit FaultPlane(FaultConfig config);
@@ -267,14 +254,12 @@ class FaultPlane {
 
   const Counters& counters() const { return counters_; }
 
-  /// Folds a peer plane's counters into this one (sharded-run merge).
-  void absorb_counters(const Counters& other) { counters_.absorb(other); }
-
  private:
   /// Message-fault verdicts draw from a per-sender stream (cached lazily),
-  /// not one shared stream — the same PDES determinism-contract rule as
-  /// Network's jitter streams (docs/pdes.md): each sender's verdict sequence
-  /// must be a function of its own send order, not the global interleaving.
+  /// not one shared stream — the same determinism-contract rule as
+  /// Network's jitter streams (docs/kernel.md): each sender's verdict
+  /// sequence must be a function of its own send order, not the global
+  /// interleaving.
   /// The double fork (0xFA17, then the node id) keeps every per-sender
   /// stream disjoint from churn_rng()/targeted_rng() even when node ids
   /// collide with those tags' values.

@@ -22,15 +22,6 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
   virtual Duration latency(NodeId a, NodeId b, Rng& rng) = 0;
-
-  /// A lower bound on latency() over every node pair and every RNG state —
-  /// the conservative lookahead of the sharded PDES executor (docs/pdes.md):
-  /// a message sent at t is guaranteed not to arrive before t +
-  /// min_latency(), so shards may safely advance min_latency() past the
-  /// global minimum next-event time. The default (zero) is always sound but
-  /// gives an executor no lookahead; models should override with their real
-  /// floor.
-  virtual Duration min_latency() const { return Duration::zero(); }
 };
 
 /// Constant latency — for tests and microbenchmarks.
@@ -38,7 +29,6 @@ class FixedLatencyModel final : public LatencyModel {
  public:
   explicit FixedLatencyModel(Duration d) : d_{d} {}
   Duration latency(NodeId, NodeId, Rng&) override { return d_; }
-  Duration min_latency() const override { return d_; }
 
  private:
   Duration d_;
@@ -62,10 +52,6 @@ class GeoLatencyModel final : public LatencyModel {
   explicit GeoLatencyModel(Params params) : params_{params} {}
 
   Duration latency(NodeId a, NodeId b, Rng& rng) override;
-
-  /// Distance and jitter are both >= 0, so `base` is the exact floor
-  /// (attained by co-located nodes with a zero jitter draw).
-  Duration min_latency() const override { return params_.base; }
 
   /// Deterministic position of a node on the unit square.
   void position(NodeId n, double& x, double& y) const;

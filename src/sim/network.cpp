@@ -7,25 +7,10 @@ namespace aria::sim {
 void Network::schedule_delivery(NodeId from, NodeId to, MessageTypeId type,
                                 Duration delay,
                                 std::unique_ptr<Message> message) {
-  const TimePoint deliver_at = sim_.now() + delay;
-  // The key is drawn on the sender's network whether or not the delivery is
-  // local — the cross-shard path must consume the same counter values the
-  // sequential path does.
-  const std::uint64_t key = next_delivery_key(from);
-  if (remote_ != nullptr && remote_->is_remote(to)) {
-    remote_->forward(from, to, deliver_at, key, std::move(message));
-    return;
-  }
-  schedule_delivery_at(from, to, type, deliver_at, key, std::move(message));
-}
-
-void Network::schedule_delivery_at(NodeId from, NodeId to, MessageTypeId type,
-                                   TimePoint deliver_at, std::uint64_t key,
-                                   std::unique_ptr<Message> message) {
   // The message moves straight into the delivery closure (UniqueCallback is
   // move-only, so no shared_ptr shim and no extra allocation).
   sim_.schedule_at_keyed(
-      deliver_at, key,
+      sim_.now() + delay, next_delivery_key(from),
       [this, from, to, type, msg = std::move(message)]() mutable {
         if (!is_up(to)) {
           ++dropped_;
@@ -35,16 +20,6 @@ void Network::schedule_delivery_at(NodeId from, NodeId to, MessageTypeId type,
         ++delivered_;
         nodes_[to.index()].handler(Envelope{from, to, std::move(msg)});
       });
-}
-
-void Network::deliver_remote(NodeId from, NodeId to, TimePoint deliver_at,
-                             std::uint64_t key,
-                             std::unique_ptr<Message> message) {
-  assert(message);
-  // Read the type before the call: evaluation order of the arguments is
-  // unspecified, and the move may empty `message` first.
-  const MessageTypeId type = message->type_id();
-  schedule_delivery_at(from, to, type, deliver_at, key, std::move(message));
 }
 
 void Network::send(NodeId from, NodeId to, std::unique_ptr<Message> message) {

@@ -91,32 +91,6 @@ struct Envelope {
   std::unique_ptr<Message> message;
 };
 
-/// Cross-shard routing hook (sharded PDES executor, sim/pdes,
-/// docs/pdes.md). When attached, a send whose destination is_remote() is
-/// handed to forward() — stamped with its already-drawn delivery instant —
-/// instead of being scheduled on the local simulator; the destination
-/// shard's Network later injects it via deliver_remote(). Everything
-/// sender-side (metering, fault verdict, latency draw, tap) has already
-/// happened by the time forward() runs, so the split is invisible to both
-/// endpoints.
-class RemoteRoute {
- public:
-  virtual ~RemoteRoute() = default;
-
-  /// Does `to` live on another shard's network?
-  virtual bool is_remote(NodeId to) const = 0;
-
-  /// Hands off one message for delivery at `deliver_at` on the owning
-  /// shard. Called at the sender's send instant, which the conservative
-  /// protocol guarantees precedes `deliver_at` by at least the lookahead.
-  /// `key` is the sender-side delivery ordering key (see
-  /// Simulator::schedule_at_keyed); the receiving shard must schedule the
-  /// delivery with it unchanged.
-  virtual void forward(NodeId from, NodeId to, TimePoint deliver_at,
-                       std::uint64_t key,
-                       std::unique_ptr<Message> message) = 0;
-};
-
 class Network {
  public:
   using Handler = std::function<void(Envelope)>;
@@ -163,40 +137,6 @@ class Network {
   void set_fault_plane(FaultPlane* plane) { faults_ = plane; }
   FaultPlane* fault_plane() const { return faults_; }
 
-  /// The latency model driving delivery delays. The sharded executor reads
-  /// min_latency() off it to derive the conservative lookahead.
-  const LatencyModel& latency_model() const { return *latency_; }
-
-  /// Folds another network's meters into this one: message counters, the
-  /// region split, and the per-type traffic ledger. Used after a sharded
-  /// run to merge the shard networks' accounting into the engine network so
-  /// RunResult harvesting reads one place in both execution modes.
-  void absorb_meters(const Network& other) {
-    traffic_.merge(other.traffic_);
-    sent_ += other.sent_;
-    delivered_ += other.delivered_;
-    dropped_ += other.dropped_;
-    faulted_ += other.faulted_;
-    duplicated_ += other.duplicated_;
-    intra_region_messages_ += other.intra_region_messages_;
-    cross_region_messages_ += other.cross_region_messages_;
-    intra_region_bytes_ += other.intra_region_bytes_;
-    cross_region_bytes_ += other.cross_region_bytes_;
-  }
-
-  /// Attaches the cross-shard route (non-owning; must outlive the network).
-  /// Null (the default) keeps every delivery local — the plain path.
-  void set_remote_route(RemoteRoute* route) { remote_ = route; }
-
-  /// Recipient side of the remote route: accepts a message forwarded by a
-  /// peer shard and schedules it at the stamped instant — under the
-  /// sender-stamped ordering key — after which it runs the exact local
-  /// delivery path (up-check, drop accounting, handler). Must be called
-  /// before the local clock reaches `deliver_at` — the conservative window
-  /// protocol guarantees this.
-  void deliver_remote(NodeId from, NodeId to, TimePoint deliver_at,
-                      std::uint64_t key, std::unique_ptr<Message> message);
-
   /// Attaches a message tap (non-owning; must outlive the network); the tap
   /// sees every `sample_every`-th send, counted deterministically — no RNG
   /// draws, so attaching a tap never perturbs the simulation. Null detaches.
@@ -241,18 +181,14 @@ class Network {
 
   void schedule_delivery(NodeId from, NodeId to, MessageTypeId type,
                          Duration delay, std::unique_ptr<Message> message);
-  void schedule_delivery_at(NodeId from, NodeId to, MessageTypeId type,
-                            TimePoint deliver_at, std::uint64_t key,
-                            std::unique_ptr<Message> message);
 
   /// Same-instant delivery ordering key: (sender, per-sender delivery
   /// count), packed so keys from different senders never collide and a
   /// sender's deliveries keep their send order. The counter advances once
-  /// per scheduled delivery on the *sender's* network, so the key is a pure
-  /// function of the sender's own send history — identical under sequential
-  /// and sharded execution (docs/pdes.md "Determinism contract"). The +1
-  /// keeps every delivery key above 0, the key timers and engine events
-  /// schedule with.
+  /// per scheduled delivery, so the key is a pure function of the sender's
+  /// own send history (docs/kernel.md "Determinism contract"). The +1 keeps
+  /// every delivery key above 0, the key timers and engine events schedule
+  /// with.
   std::uint64_t next_delivery_key(NodeId from) {
     if (from.index() >= delivery_seq_.size()) {
       delivery_seq_.resize(from.index() + 1, 0);
@@ -262,11 +198,10 @@ class Network {
   }
 
   /// Latency jitter is drawn from a per-sender stream (base_rng_ forked on
-  /// the sender id, cached lazily) rather than one shared stream. This is a
-  /// pillar of the PDES determinism contract (docs/pdes.md): the draw
-  /// sequence a sender sees is then a function of that sender's own send
-  /// order only, which is identical under sequential and sharded execution —
-  /// a shared stream would depend on the global interleaving of all senders.
+  /// the sender id, cached lazily) rather than one shared stream, so the
+  /// draw sequence a sender sees is a function of that sender's own send
+  /// order only, not of the global interleaving of all senders
+  /// (docs/kernel.md "Determinism contract").
   Rng& jitter_rng(NodeId from) {
     if (from.index() >= sender_rng_.size()) {
       sender_rng_.resize(from.index() + 1);
@@ -295,7 +230,6 @@ class Network {
   std::vector<std::uint64_t> delivery_seq_;
   TrafficLedger traffic_;
   FaultPlane* faults_{nullptr};
-  RemoteRoute* remote_{nullptr};
   MessageTap* tap_{nullptr};
   std::uint64_t tap_every_{1};
   std::uint64_t tap_counter_{0};

@@ -214,22 +214,4 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
   return n;
 }
 
-std::uint64_t Simulator::run_until_before(TimePoint bound) {
-  stop_requested_ = false;
-  std::uint64_t n = 0;
-  while (!stop_requested_) {
-    const std::optional<TimePoint> next = peek();
-    if (!next || *next >= bound) break;
-    step();
-    ++n;
-  }
-  return n;
-}
-
-void Simulator::advance_to(TimePoint at) {
-  if (at <= now_) return;
-  assert(!peek() || *peek() >= at);
-  now_ = at;
-}
-
 }  // namespace aria::sim

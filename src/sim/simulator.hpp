@@ -5,10 +5,7 @@
 // bit-reproducible. The key defaults to 0; message deliveries pass an
 // explicit (sender, per-sender seq) key via schedule_at_keyed so that
 // same-instant deliveries fire in an order independent of *when* each one
-// was scheduled — the property that lets the sharded PDES executor
-// (sim/pdes, docs/pdes.md) reproduce sequential runs byte-for-byte even
-// though cross-shard messages are enqueued at window boundaries rather
-// than at their senders' send instants.
+// was scheduled (docs/kernel.md "Determinism contract").
 //
 // Storage layout (see docs/kernel.md for the full design):
 //   - Event records live in a slab (std::vector<Slot>) with a free list;
@@ -81,7 +78,7 @@ class Simulator {
   /// key, so timers and engine-plane events keep firing ahead of
   /// same-instant deliveries. The Network keys deliveries by
   /// (sender, per-sender wire seq), making same-instant delivery order a
-  /// pure function of message identity (docs/pdes.md "Determinism
+  /// pure function of message identity (docs/kernel.md "Determinism
   /// contract").
   EventHandle schedule_at_keyed(TimePoint at, std::uint64_t key, Callback fn);
 
@@ -99,21 +96,6 @@ class Simulator {
   /// the clock is left at min(deadline, last event time). Events scheduled
   /// exactly at `deadline` do fire.
   std::uint64_t run_until(TimePoint deadline);
-
-  /// Runs every event strictly before `bound` and leaves events at or after
-  /// it in the queue; the clock stays at the last fired event (never bumped
-  /// to `bound`). This is the shard-side primitive of the conservative PDES
-  /// executor (sim/pdes): a shard granted the window [now, bound) may fire
-  /// exactly the events run_until_before(bound) fires. Events scheduled
-  /// exactly at `bound` do NOT fire.
-  std::uint64_t run_until_before(TimePoint bound);
-
-  /// Advances the clock to `at` without firing anything. Requires that no
-  /// live event is scheduled before `at` (asserted) — i.e. the caller knows
-  /// the interval [now, at) is empty, which is exactly what the PDES
-  /// barrier protocol establishes before running engine-plane events at
-  /// `at`. A no-op when `at` is in the past.
-  void advance_to(TimePoint at);
 
   /// Fires at most one event. Returns false if the queue was empty.
   bool step();

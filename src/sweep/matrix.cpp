@@ -18,7 +18,6 @@ std::string reject_process_options(const workload::CliOptions& o) {
   if (!o.csv_dir.empty()) return "--csv";
   if (!o.trace_path.empty()) return "--trace";
   if (!o.trace_jsonl_path.empty()) return "--trace-jsonl";
-  if (o.pdes_verify) return "--pdes-verify";
   return {};
 }
 
@@ -276,25 +275,6 @@ SweepMatrix SweepMatrix::preset(const std::string& name, std::size_t seeds,
     }
     return matrix;
   }
-  if (name == "pdes-shards") {
-    // One 2 000-node hierarchical simulation at four shard counts
-    // (docs/pdes.md): by the determinism contract every row must report
-    // byte-identical metrics — the merged report doubles as an equivalence
-    // check — while wall-clock varies with the shard count. Pair with
-    // tools/bench_all.sh's pdes_shard_scaling bench for the timing curve.
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{4}, std::size_t{8}}) {
-      MatrixEntry e = row("iMixed");
-      e.label = "pdes-shards" + std::to_string(shards);
-      e.options.nodes = 2000;
-      e.options.jobs = 400;
-      e.options.horizon_min = 16.0 * 60.0;
-      e.options.hierarchy = true;
-      e.options.shards = shards;
-      matrix.add(std::move(e));
-    }
-    return matrix;
-  }
   if (name == "scale10k-hier") {
     // 10 000 nodes under the fault cocktail — hierarchy only (flat flooding
     // at this scale is global-fanout-bound and takes hours of wall clock).
@@ -317,7 +297,7 @@ SweepMatrix SweepMatrix::preset(const std::string& name, std::size_t seeds,
 const std::vector<std::string>& SweepMatrix::preset_names() {
   static const std::vector<std::string> names{
       "table2", "table2-smoke", "quick", "scale2k", "scale10k-hier",
-      "chaos-hier", "adversary", "pdes-shards"};
+      "chaos-hier", "adversary"};
   return names;
 }
 

@@ -65,7 +65,6 @@ class SweepMatrix {
   ///   "quick"         4 representative scenarios, tiny (40 nodes / 60 jobs)
   ///   "scale2k"       flat vs --hierarchy head-to-head at 2 000 nodes
   ///   "scale10k-hier" 10 000 nodes, --hierarchy, churn + 1% loss cocktail
-  ///   "pdes-shards"   one 2k-node run at --shards 1/2/4/8 (docs/pdes.md)
   /// Throws std::invalid_argument for unknown names.
   static SweepMatrix preset(const std::string& name, std::size_t seeds,
                             std::uint64_t base_seed);

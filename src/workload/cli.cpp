@@ -219,15 +219,6 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
       }
       out.storm = storm;
       out.overload = true;
-    } else if (a == "--shards") {
-      const auto v = next("--shards");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n) || n == 0) {
-        return "--shards requires a positive integer";
-      }
-      out.shards = n;
-    } else if (a == "--pdes-verify") {
-      out.pdes_verify = true;
     } else if (a == "--overlay") {
       const auto v = next("--overlay");
       if (!v || (*v != "blatant" && *v != "random" && *v != "smallworld")) {
@@ -440,16 +431,6 @@ usage: aria_sim [options]
   --quiet             print only the summary block
   -h, --help          this text
 
-sharded execution (docs/pdes.md; incompatible with --healing, --expand,
-tracing and --audit — the runner rejects those combinations):
-  --shards N          split the simulation over N worker threads by overlay
-                      region, under a conservative barrier-window executor;
-                      same-seed results are byte-identical to --shards 1
-  --pdes-verify       run each seed twice — sequential oracle, then sharded
-                      (--shards N) — with send journals on, compare every
-                      metric and the canonical event journals, and exit
-                      nonzero naming the first divergent event on mismatch
-
 tracing (docs/tracing.md; either output path enables the tracing plane and
 a per-job critical-path summary — metrics stay byte-identical either way):
   --trace PATH        write a Chrome trace_event JSON file for the first
@@ -551,7 +532,6 @@ ScenarioConfig resolve_scenario(const CliOptions& options) {
     cfg.trace.enabled = true;
     cfg.trace.message_sample_every = options.trace_sample;
   }
-  cfg.shards = options.shards;
   if (options.overlay == "random") {
     cfg.overlay_family = ScenarioConfig::OverlayFamily::kRandomRegular;
   } else if (options.overlay == "smallworld") {

@@ -49,13 +49,6 @@ struct CliOptions {
   std::optional<StormParams> storm{};
   /// "blatant" (default), "random", or "smallworld".
   std::string overlay{};
-  /// PDES shard count (docs/pdes.md): 1 = plain sequential kernel, N > 1 =
-  /// region-parallel execution under the conservative executor.
-  std::size_t shards{1};
-  /// Run each seed twice — sequential oracle then sharded — with send
-  /// journals on, and compare: exit nonzero naming the first divergent
-  /// event on mismatch. Requires --shards > 1.
-  bool pdes_verify{false};
   /// Directory to drop CSV series into (empty = no CSV output).
   std::string csv_dir{};
   bool quiet{false};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <sstream>
 
 #include "common/logging.hpp"
 #include "grid/profile_gen.hpp"
@@ -144,6 +145,18 @@ metrics::LoadBalance RunResult::busy_time_balance() const {
 // GridSimulation
 // ---------------------------------------------------------------------------
 
+GridSimulation::GridSimulation(ScenarioConfig config, std::uint64_t seed)
+    : config_{std::move(config)},
+      seed_{seed},
+      rng_{seed},
+      ert_error_{config_.ert_error},
+      submit_rng_{0},
+      idle_series_{"idle"},
+      node_count_series_{"nodes"},
+      queue_depth_series_{"queue-depth"},
+      shed_series_{"sheds"},
+      reject_series_{"rejects"} {}
+
 proto::AriaNode* GridSimulation::node(NodeId id) {
   const std::size_t i = id.index();
   return i < nodes_.size() ? nodes_[i] : nullptr;
@@ -263,10 +276,6 @@ void GridSimulation::build() {
   relay_->set_ttl(config_.aria.flood_gc_delay);
   submit_rng_ = rng_.fork(3);
   jobgen_ = std::make_unique<JobGenerator>(config_.jobs, rng_.fork(4));
-  // Sharded execution (docs/pdes.md): validates the plane combination,
-  // then stands up the per-shard simulators/networks/relays the node
-  // contexts below are redirected at. Null fabric when shards == 1.
-  build_shard_fabric();
 
   build_overlay();
   build_nodes();
@@ -357,7 +366,6 @@ void GridSimulation::spawn_node() {
                       ? std::max(config_.node_count,
                                  config_.expansion->target_node_count)
                       : config_.node_count;
-  if (fabric_) fill_shard_context(ctx, id);
 
   std::string vo;
   if (config_.vo_count > 1) {
@@ -606,12 +614,7 @@ void GridSimulation::sample_overload() {
 RunResult GridSimulation::run() {
   build();
   const auto wall_start = std::chrono::steady_clock::now();
-  std::uint64_t shard_events = 0;
-  if (fabric_) {
-    shard_events = run_sharded();
-  } else {
-    sim_.run_until(TimePoint::origin() + config_.horizon);
-  }
+  sim_.run_until(TimePoint::origin() + config_.horizon);
   const auto wall_end = std::chrono::steady_clock::now();
 
   RunResult r;
@@ -735,14 +738,11 @@ RunResult GridSimulation::run() {
                  << r.violations.front().detail;
     }
   }
-  fill_pdes_result(r);
   r.final_node_count = nodes_.size();
   r.overlay_links = topo_.link_count();
   r.overlay_avg_degree = topo_.average_degree();
   r.overlay_avg_path_length = topo_.average_path_length();
-  // In sharded mode events split across the engine and shard simulators;
-  // the sum reproduces the sequential count exactly.
-  r.events_fired = sim_.fired_events() + shard_events;
+  r.events_fired = sim_.fired_events();
   r.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   if (!r.tracker.violations().empty()) {
@@ -756,6 +756,127 @@ RunResult GridSimulation::run() {
 RunResult run_scenario(const ScenarioConfig& scenario, std::uint64_t seed) {
   GridSimulation sim{scenario, seed};
   return sim.run();
+}
+
+namespace {
+
+// Hexfloat rendering: two doubles fingerprint equal iff they are
+// bit-identical, which is the contract (no tolerance comparisons).
+std::string fp_double(double v) {
+  std::ostringstream os;
+  os << std::hexfloat << v;
+  return os.str();
+}
+
+std::string fp_opt_time(const std::optional<TimePoint>& t) {
+  return t ? std::to_string(t->count_micros()) : std::string{"-"};
+}
+
+void fp_series(std::ostream& os, const metrics::Series& s) {
+  double sum = 0.0;
+  for (const auto& p : s.points()) sum += p.value;
+  os << "series " << s.label() << " n=" << s.size() << " sum=" << fp_double(sum)
+     << " last=" << fp_double(s.points().empty() ? 0.0 : s.points().back().value)
+     << "\n";
+}
+
+}  // namespace
+
+std::string run_fingerprint(const RunResult& r) {
+  std::ostringstream os;
+  os << "scenario " << r.scenario_name << " seed " << r.seed << "\n";
+  os << "events_fired " << r.events_fired << "\n";
+  os << "final_node_count " << r.final_node_count << "\n";
+  os << "overlay " << r.overlay_links << " " << fp_double(r.overlay_avg_degree)
+     << " " << fp_double(r.overlay_avg_path_length) << "\n";
+
+  // Jobs: records() is an unordered_map, so sort by job id for a canonical
+  // order. Every lifecycle field participates.
+  std::vector<const proto::JobRecord*> jobs;
+  jobs.reserve(r.tracker.records().size());
+  for (const auto& [id, rec] : r.tracker.records()) jobs.push_back(&rec);
+  std::sort(jobs.begin(), jobs.end(),
+            [](const proto::JobRecord* a, const proto::JobRecord* b) {
+              return a->spec.id.to_string() < b->spec.id.to_string();
+            });
+  os << "jobs " << jobs.size() << "\n";
+  for (const proto::JobRecord* j : jobs) {
+    os << "job " << j->spec.id.to_string() << " ert "
+       << j->spec.ert.count_micros() << " deadline ";
+    if (j->spec.deadline) {
+      os << j->spec.deadline->count_micros();
+    } else {
+      os << "-";
+    }
+    os << " init " << j->initiator.value() << " sub "
+       << j->submitted.count_micros() << " asg [";
+    for (const auto& [node, at] : j->assignments) {
+      os << node.value() << "@" << at.count_micros() << ",";
+    }
+    os << "] start " << fp_opt_time(j->started) << " exec "
+       << j->executor.value() << " done " << fp_opt_time(j->completed)
+       << " art " << j->art.count_micros() << " retries " << j->retries
+       << " recov " << j->recoveries << " sheds " << j->sheds << " rejects "
+       << j->rejects << " unsched " << j->unschedulable << " abandoned "
+       << j->abandoned << " execs " << j->executions << "\n";
+  }
+  os << "lifecycle_violations " << r.tracker.violations().size() << "\n";
+  for (const std::string& v : r.tracker.violations()) {
+    os << "violation " << v << "\n";
+  }
+
+  // Traffic: by_type() is already name-sorted.
+  const auto total = r.traffic.total();
+  os << "traffic_total " << total.messages << " " << total.bytes << "\n";
+  for (const auto& [name, e] : r.traffic.by_type()) {
+    os << "traffic " << name << " " << e.messages << " " << e.bytes << "\n";
+  }
+
+  fp_series(os, r.idle_series);
+  fp_series(os, r.node_count_series);
+  fp_series(os, r.queue_depth_series);
+  fp_series(os, r.shed_series);
+  fp_series(os, r.reject_series);
+
+  os << "faults " << r.faults_enabled << " " << r.faults.lost << " "
+     << r.faults.duplicated << " " << r.faults.delayed << " "
+     << r.faults.partition_drops << " " << r.faults.crashes << " "
+     << r.faults.restarts << " " << r.faults.targeted_crashes << "\n";
+  os << "faulted_messages " << r.faulted_messages << " duplicated "
+     << r.duplicated_messages << " submissions_dropped "
+     << r.submissions_dropped << " completion_replays " << r.completion_replays
+     << "\n";
+
+  os << "healing " << r.healing_enabled << " " << r.neighbor_evictions << " "
+     << r.false_suspicions << " " << r.repair_links << " "
+     << r.rejoin_requests << " " << r.probe_rounds << " "
+     << r.live_disconnected_samples << " " << fp_double(r.max_heal_minutes)
+     << " " << r.live_subgraph_connected_at_end << "\n";
+
+  os << "overload " << r.overload_enabled << " " << r.jobs_shed << " "
+     << r.sheds_rescheduled << " " << r.sheds_failsafe << " "
+     << r.assign_rejects << " " << r.reject_rediscoveries << " "
+     << r.bids_suppressed << " " << r.peak_queue_depth << "\n";
+
+  os << "hierarchy " << r.hierarchy_enabled << " " << r.region_count << " "
+     << r.region_queries << " " << r.region_queries_served << " "
+     << r.region_forwards << " " << r.region_floods << " " << r.wide_floods
+     << " " << r.load_reports << " " << r.digests_sent << " "
+     << r.digests_received << " " << r.region_pulls << " "
+     << r.region_handoffs << " " << r.early_wide_escalations << "\n";
+  os << "region_wire " << r.intra_region_messages << " "
+     << r.cross_region_messages << " " << r.intra_region_bytes << " "
+     << r.cross_region_bytes << "\n";
+
+  os << "adversaries " << r.adversaries_enabled << " " << r.adversary_count
+     << " " << r.adv_underbids << " " << r.adv_informs_deflated << " "
+     << r.adv_assigns_swallowed << " " << r.adv_digests_poisoned << "\n";
+
+  os << "defenses " << r.defense_enabled << " " << r.offers_distrusted << " "
+     << r.stragglers_detected << " " << r.revokes_sent << " "
+     << r.revoke_acks_sent << " " << r.hedges_dispatched << " "
+     << r.digests_clamped << " " << r.reputation_evictions << "\n";
+  return os.str();
 }
 
 }  // namespace aria::workload

@@ -26,16 +26,7 @@
 #include "workload/jobgen.hpp"
 #include "workload/scenario.hpp"
 
-namespace aria::sim::pdes {
-class EventJournal;
-struct JournalEntry;
-}  // namespace aria::sim::pdes
-
 namespace aria::workload {
-
-/// All sharded-execution state (shard simulators, networks, channels,
-/// recorders); defined in engine_pdes.cpp, null unless config.shards > 1.
-struct PdesFabric;
 
 /// Everything measured in one simulated run.
 struct RunResult {
@@ -146,16 +137,6 @@ struct RunResult {
   /// trace::export_jsonl / export_chrome / critical_paths.
   std::shared_ptr<const trace::TraceBuffer> trace{};
 
-  // --- sharded execution (docs/pdes.md; defaults when shards == 1) ------
-  /// Shard count the run executed with (1 = plain sequential kernel).
-  std::size_t shards{1};
-  std::uint64_t pdes_windows{0};         // parallel shard windows
-  std::uint64_t pdes_engine_phases{0};   // serial engine rendezvous
-  std::uint64_t pdes_engine_events{0};   // events fired in engine phases
-  std::uint64_t pdes_shard_events{0};    // events fired inside windows
-  std::uint64_t pdes_messages_forwarded{0};  // cross-shard channel hops
-  std::uint64_t pdes_channel_overflows{0};   // ring spills (cap sizing hint)
-
   std::size_t final_node_count{0};
   std::size_t overlay_links{0};
   double overlay_avg_degree{0.0};
@@ -212,7 +193,6 @@ struct RunResult {
 class GridSimulation {
  public:
   GridSimulation(ScenarioConfig config, std::uint64_t seed);
-  ~GridSimulation();
   GridSimulation(const GridSimulation&) = delete;
   GridSimulation& operator=(const GridSimulation&) = delete;
 
@@ -234,21 +214,11 @@ class GridSimulation {
   std::vector<proto::AriaNode*> all_nodes();
 
   /// Nodes that are neither executing nor holding queued jobs. O(1): nodes
-  /// maintain a shared gauge on every queue/executor transition (one gauge
-  /// per shard in sharded mode — summed here, only ever read from the
-  /// serial engine phase).
-  std::size_t idle_count() const {
-    return idle_nodes_ + (fabric_ ? pdes_idle_sum() : 0);
-  }
+  /// maintain a shared gauge on every queue/executor transition.
+  std::size_t idle_count() const { return idle_nodes_; }
 
   /// O(N) recount of idle_count(); debug cross-check for tests.
   std::size_t idle_count_scan() const;
-
-  /// The canonical send journal, merged and canonically sorted — empty
-  /// unless config.pdes_journal was set. Works in both execution modes;
-  /// feed sequential + sharded journals to sim::pdes::first_divergence to
-  /// name the first divergent event (docs/pdes.md "Divergence triage").
-  std::vector<sim::pdes::JournalEntry> journal_entries() const;
 
  private:
   void build_overlay();
@@ -268,20 +238,6 @@ class GridSimulation {
   void churn_restart(NodeId id, sim::FaultConfig::Churn plan, Rng rng,
                      bool targeted = false);
   void submit_one(std::size_t index);
-
-  // --- sharded execution (engine_pdes.cpp) -------------------------------
-  /// Rejects plane combinations the sharded executor cannot run (throws
-  /// std::invalid_argument), then constructs fabric_ when shards > 1.
-  void build_shard_fabric();
-  /// Redirects a node's context at its shard's simulator/network/relay/
-  /// recorder/idle gauge; no-op semantics when fabric_ is null.
-  void fill_shard_context(proto::NodeContext& ctx, NodeId id);
-  /// Runs the conservative executor to the horizon, replays the recorded
-  /// observer logs into tracker_, folds shard meters into net_/faults_, and
-  /// returns the number of events fired on the shard simulators.
-  std::uint64_t run_sharded();
-  std::size_t pdes_idle_sum() const;
-  void fill_pdes_result(RunResult& r) const;
 
   ScenarioConfig config_;
   std::uint64_t seed_;
@@ -306,13 +262,6 @@ class GridSimulation {
   /// re-sampling forwards to the tracer). See docs/audit.md.
   std::unique_ptr<audit::AuditCollector> auditor_;
   std::unique_ptr<JobGenerator> jobgen_;
-  /// Sequential-mode send journal (config_.pdes_journal, shards == 1);
-  /// sharded runs keep per-shard journals inside fabric_ instead.
-  std::unique_ptr<sim::pdes::EventJournal> journal_;
-  /// Sharded-execution state (null when shards == 1). Declared before the
-  /// node arena: node destructors detach from their shard network and
-  /// cancel events on their shard simulator.
-  std::unique_ptr<PdesFabric> fabric_;
   Rng submit_rng_{0};
   // Declared before the arena: nodes decrement the gauge in their destructor.
   std::size_t idle_nodes_{0};
@@ -344,24 +293,7 @@ RunResult run_scenario(const ScenarioConfig& scenario, std::uint64_t seed);
 /// Canonical textual digest of every deterministic field of a RunResult —
 /// per-job lifecycle lines sorted by job id, per-type traffic, plane
 /// counters, series checksums; floats rendered as hexfloat so equality is
-/// bit-equality. Excludes wall_seconds and the pdes_* telemetry (which
-/// legitimately differ between execution modes). Byte-equal fingerprints
-/// define the sharded determinism contract (docs/pdes.md).
+/// bit-equality. Excludes wall_seconds (host time).
 std::string run_fingerprint(const RunResult& r);
-
-struct PdesEquivalence {
-  bool identical{false};
-  /// On divergence: the first mismatching journal event (or fingerprint
-  /// line); on success, a one-line summary of what was compared.
-  std::string detail;
-};
-
-/// Runs `scenario` at `seed` twice — sequential oracle, then with `shards`
-/// shards — with send journals enabled, and compares the full result
-/// fingerprints plus the canonical event journals (docs/pdes.md
-/// "Divergence triage").
-PdesEquivalence verify_sharded_equivalence(ScenarioConfig scenario,
-                                           std::size_t shards,
-                                           std::uint64_t seed);
 
 }  // namespace aria::workload

@@ -87,17 +87,6 @@ struct ScenarioConfig {
   Duration metrics_sample_period{Duration::seconds(60)};
   Duration maintenance_period{Duration::minutes(5)};
 
-  // --- sharded execution (docs/pdes.md) -------------------------------------
-  /// Number of PDES shards the node plane is split across. 1 (the default)
-  /// is the plain single-threaded kernel; N > 1 runs one simulation on N
-  /// worker threads under the conservative barrier-window executor, with a
-  /// byte-for-byte determinism contract against the sequential run.
-  std::size_t shards{1};
-  /// Record the canonical send journal (works in both execution modes).
-  /// Costs memory proportional to message count; used by the equivalence
-  /// verifier to name the first divergent event on mismatch.
-  bool pdes_journal{false};
-
   bool deadline_scenario() const { return jobs.deadline_slack_mean.has_value(); }
   TimePoint submission_end() const {
     return TimePoint::origin() + submission_start +

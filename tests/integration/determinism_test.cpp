@@ -30,9 +30,9 @@ ScenarioConfig golden_scenario() {
 }
 
 // Re-pinned when latency jitter, fault verdicts and flood target picks
-// moved from shared to per-entity RNG streams (the PDES determinism
-// contract, docs/pdes.md): the draws themselves changed, so message counts
-// and event totals shifted, but completions stayed at the same plateau.
+// moved from shared to per-entity RNG streams (docs/kernel.md "Determinism
+// contract"): the draws themselves changed, so message counts and event
+// totals shifted, but completions stayed at the same plateau.
 constexpr std::uint64_t kGoldenSeed = 42;
 constexpr std::size_t kGoldenCompleted = 80;
 constexpr std::uint64_t kGoldenEventsFired = 91929;
@@ -211,8 +211,8 @@ TEST(Determinism, SameSeedFingerprintsAreEqualAcrossPlanes) {
   }
 }
 
-// FNV-1a of the default run's fingerprint, captured before the sharded
-// executor was removed. Any change to what a plain run computes moves it.
+// FNV-1a of the default run's fingerprint. Any change to what a plain run
+// computes moves it; rev it only together with the goldens above.
 constexpr std::uint64_t kGoldenFingerprintHash = 0xb2e877a5477131f4ULL;
 
 TEST(Determinism, GoldenRunFingerprintMatchesRecordedHash) {

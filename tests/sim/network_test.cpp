@@ -201,55 +201,87 @@ TEST_F(NetworkTest, DeliveryToDetachedOrDownIdCountsAsDrop) {
   EXPECT_EQ(net_.traffic().drops("TEST"), 3u);
 }
 
-/// Records the sender-side stamp of every send instead of delivering it.
-struct StampRecorder final : RemoteRoute {
-  struct Stamp {
-    NodeId from;
-    NodeId to;
-    TimePoint deliver_at;
-    std::uint64_t key;
-  };
-  bool is_remote(NodeId) const override { return true; }
-  void forward(NodeId from, NodeId to, TimePoint deliver_at, std::uint64_t key,
-               std::unique_ptr<Message>) override {
-    stamps.push_back(Stamp{from, to, deliver_at, key});
+// --- delivery keys and per-sender jitter -----------------------------------
+
+TEST(DeliveryKeys, SameInstantDeliveriesFireInSenderSeqOrder) {
+  // Two senders whose messages land on the same recipient at the same
+  // microsecond (fixed latency, simultaneous sends). Whatever order the
+  // sends were issued in, delivery order must be (sender id, send seq).
+  Simulator sim;
+  Network net{sim, std::make_unique<FixedLatencyModel>(5_ms), Rng{1}};
+  std::vector<std::uint32_t> arrivals;
+  net.attach(NodeId{1}, [](Envelope) {});
+  net.attach(NodeId{2}, [](Envelope) {});
+  net.attach(NodeId{9}, [&](Envelope e) { arrivals.push_back(e.from.value()); });
+  // Higher-id sender sends first; key order must still deliver n1 first.
+  sim.schedule_at(TimePoint::from_micros(100), [&] {
+    net.send(NodeId{2}, NodeId{9}, std::make_unique<TestMsg>(0));
+    net.send(NodeId{1}, NodeId{9}, std::make_unique<TestMsg>(0));
+  });
+  sim.run();
+  EXPECT_EQ(arrivals, (std::vector<std::uint32_t>{1, 2}));
+}
+
+/// Records the scheduled delivery instant of every send.
+struct DeliveryRecorder final : MessageTap {
+  void on_message(NodeId, NodeId, const Message&, TimePoint,
+                  TimePoint deliver, bool) override {
+    deliver_at.push_back(deliver);
   }
-  std::vector<Stamp> stamps;
+  std::vector<TimePoint> deliver_at;
 };
 
 TEST(NetworkKeys, PerSenderKeysAndJitterFollowTheSendScript) {
-  // A fixed interleaved send script. Each sender's delivery keys must count
-  // its own sends from zero, and its jitter must be the stream of the base
-  // RNG forked on its id, drawn in its own send order, whatever the other
-  // senders did in between and however large the ids are.
+  // A fixed interleaved send script. Each sender's jitter must be the
+  // stream of the base RNG forked on its id, drawn in its own send order,
+  // and its deliveries must be keyed by (sender, own send count), whatever
+  // the other senders did in between and however large the ids are.
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> script = {
       {3, 9}, {900, 3}, {3, 900}, {7, 3}, {900, 7}, {3, 7}, {7, 900}, {3, 9}};
-  Simulator sim;
-  Network net{sim, std::make_unique<GeoLatencyModel>(), Rng{5}};
-  StampRecorder route;
-  net.set_remote_route(&route);
-  for (const auto& [from, to] : script) {
-    net.send(NodeId{from}, NodeId{to}, std::make_unique<TestMsg>(0));
-  }
-  ASSERT_EQ(route.stamps.size(), script.size());
 
-  std::map<std::uint32_t, std::uint64_t> count;
-  std::map<std::uint32_t, Rng> jitter;
-  GeoLatencyModel model;
-  Rng base{5};
+  // Jitter: every send's delivery instant, read off a tap.
+  {
+    Simulator sim;
+    Network net{sim, std::make_unique<GeoLatencyModel>(), Rng{5}};
+    DeliveryRecorder tap;
+    net.set_tap(&tap);
+    for (const auto& [from, to] : script) {
+      net.send(NodeId{from}, NodeId{to}, std::make_unique<TestMsg>(0));
+    }
+    ASSERT_EQ(tap.deliver_at.size(), script.size());
+    std::map<std::uint32_t, Rng> jitter;
+    GeoLatencyModel model;
+    Rng base{5};
+    for (std::size_t i = 0; i < script.size(); ++i) {
+      const auto [from, to] = script[i];
+      auto it = jitter.try_emplace(from, base.fork(from)).first;
+      const Duration delay =
+          model.latency(NodeId{from}, NodeId{to}, it->second);
+      EXPECT_EQ(tap.deliver_at[i], TimePoint::origin() + delay) << i;
+    }
+  }
+
+  // Keys: under a fixed latency every delivery lands at the same instant,
+  // so handler order is key order — ascending sender id, then each
+  // sender's own send order — not the interleaved schedule order.
+  Simulator sim;
+  Network net{sim, std::make_unique<FixedLatencyModel>(5_ms), Rng{5}};
+  std::vector<std::pair<std::uint32_t, int>> arrivals;
+  for (const std::uint32_t id : {3u, 7u, 9u, 900u}) {
+    net.attach(NodeId{id}, [&](Envelope e) {
+      arrivals.emplace_back(
+          e.from.value(), static_cast<const TestMsg&>(*e.message).payload);
+    });
+  }
   for (std::size_t i = 0; i < script.size(); ++i) {
     const auto [from, to] = script[i];
-    const auto& s = route.stamps[i];
-    EXPECT_EQ(s.from, NodeId{from});
-    EXPECT_EQ(s.to, NodeId{to});
-    const std::uint64_t seq = count[from]++;
-    EXPECT_EQ(s.key, ((std::uint64_t{from} + 1) << 32) | seq) << i;
-    auto it = jitter.try_emplace(from, base.fork(from)).first;
-    const Duration delay = model.latency(NodeId{from}, NodeId{to}, it->second);
-    EXPECT_EQ(s.deliver_at, TimePoint::origin() + delay) << i;
+    net.send(NodeId{from}, NodeId{to},
+             std::make_unique<TestMsg>(static_cast<int>(i)));
   }
-  EXPECT_EQ((std::vector<std::uint64_t>{count[3], count[7], count[900]}),
-            (std::vector<std::uint64_t>{4, 2, 2}));
+  sim.run();
+  EXPECT_EQ(arrivals, (std::vector<std::pair<std::uint32_t, int>>{
+                          {3, 0}, {3, 2}, {3, 5}, {3, 7},
+                          {7, 3}, {7, 6}, {900, 1}, {900, 4}}));
 }
 
 TEST(NetworkStress, ThousandsOfMessagesDeliveredExactlyOnce) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -362,6 +363,53 @@ TEST(Simulator, ManyEventsStressOrdering) {
   sim.run();
   EXPECT_TRUE(monotonic);
   EXPECT_EQ(sim.fired_events(), 10000u);
+}
+
+// ---------------------------------------------------------------------------
+// Keyed same-instant ordering (Simulator::schedule_at_keyed)
+// ---------------------------------------------------------------------------
+
+TEST(KeyedScheduling, SameInstantEventsFireInKeyOrderNotScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const TimePoint t = TimePoint::from_micros(100);
+  // Scheduled high key first: scheduling order must lose to key order.
+  sim.schedule_at_keyed(t, 30, [&] { order.push_back(30); });
+  sim.schedule_at_keyed(t, 10, [&] { order.push_back(10); });
+  sim.schedule_at_keyed(t, 20, [&] { order.push_back(20); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
+}
+
+TEST(KeyedScheduling, KeyZeroFiresBeforeAnyKeyedDelivery) {
+  Simulator sim;
+  std::vector<std::string> order;
+  const TimePoint t = TimePoint::from_micros(50);
+  sim.schedule_at_keyed(t, 7, [&] { order.push_back("delivery"); });
+  sim.schedule_at(t, [&] { order.push_back("timer"); });  // key 0, later seq
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"timer", "delivery"}));
+}
+
+TEST(KeyedScheduling, TimeStillDominatesKey) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at_keyed(TimePoint::from_micros(200), 1,
+                        [&] { order.push_back(2); });
+  sim.schedule_at_keyed(TimePoint::from_micros(100), 99,
+                        [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(KeyedScheduling, EqualKeysFallBackToScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const TimePoint t = TimePoint::from_micros(10);
+  sim.schedule_at_keyed(t, 5, [&] { order.push_back(1); });
+  sim.schedule_at_keyed(t, 5, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace aria::workload {
 namespace {
 
@@ -240,6 +243,19 @@ TEST(Cli, RejectsUnknownOption) {
   const auto err = parse_cli({"--frobnicate"}, o);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("unknown option"), std::string::npos);
+}
+
+TEST(Cli, RejectsRemovedShardedExecutionFlags) {
+  // The sharded executor is gone; its flags must fail loudly rather than
+  // be silently ignored.
+  const std::vector<std::vector<std::string>> removed = {
+      {"--shards", "2"}, {"--pdes-verify"}};
+  for (const auto& args : removed) {
+    CliOptions o;
+    const auto err = parse_cli(args, o);
+    ASSERT_TRUE(err.has_value()) << args.front();
+    EXPECT_EQ(*err, "unknown option: " + args.front());
+  }
 }
 
 TEST(Cli, RejectsMissingValues) {

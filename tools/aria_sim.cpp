@@ -47,37 +47,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Determinism-contract mode (docs/pdes.md): run every seed twice —
-  // sequential oracle, then sharded — and diff the full results. Exits
-  // nonzero naming the first divergent event on any mismatch.
-  if (options.pdes_verify) {
-    if (cfg.shards < 2) {
-      std::cerr << "error: --pdes-verify needs --shards N with N >= 2\n";
-      return 2;
-    }
-    int exit_code = 0;
-    for (std::size_t i = 0; i < options.runs; ++i) {
-      const std::uint64_t seed = options.seed + i;
-      workload::PdesEquivalence eq;
-      try {
-        eq = workload::verify_sharded_equivalence(cfg, cfg.shards, seed);
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-      }
-      std::cout << "pdes-verify " << cfg.name << " seed " << seed
-                << " shards " << cfg.shards << ": "
-                << (eq.identical ? "IDENTICAL" : "DIVERGED") << "\n";
-      if (!eq.identical) {
-        std::cout << "  " << eq.detail << "\n";
-        exit_code = 1;
-      } else if (!options.quiet) {
-        std::cout << "  " << eq.detail << "\n";
-      }
-    }
-    return exit_code;
-  }
-
   if (!options.quiet) {
     std::cout << "scenario " << cfg.name << ": " << cfg.node_count
               << " nodes, " << cfg.job_count << " jobs, rescheduling "
@@ -86,14 +55,8 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  std::vector<workload::RunResult> results;
-  try {
-    results = workload::run_scenario_repeated(cfg, options.runs, options.seed);
-  } catch (const std::invalid_argument& e) {
-    // Sharded execution rejects planes the executor cannot host.
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  const std::vector<workload::RunResult> results =
+      workload::run_scenario_repeated(cfg, options.runs, options.seed);
   const auto summary = workload::summarize(cfg, results);
 
   metrics::Table table{{"metric", "mean", "stddev", "min", "max"}};
@@ -324,38 +287,6 @@ int main(int argc, char** argv) {
               << ", hedges dispatched: " << hedges << "\n"
               << "  digests clamped: " << clamped
               << ", jobs stranded: " << stranded << "\n";
-  }
-
-  // Printed only on sharded runs (same byte-identity contract: shards == 1
-  // output matches the sequential kernel byte for byte).
-  if (cfg.shards > 1) {
-    std::uint64_t windows = 0, engine_phases = 0, engine_events = 0;
-    std::uint64_t shard_events = 0, forwarded = 0, overflows = 0;
-    for (const auto& r : results) {
-      windows += r.pdes_windows;
-      engine_phases += r.pdes_engine_phases;
-      engine_events += r.pdes_engine_events;
-      shard_events += r.pdes_shard_events;
-      forwarded += r.pdes_messages_forwarded;
-      overflows += r.pdes_channel_overflows;
-    }
-    const double total_events =
-        static_cast<double>(engine_events + shard_events);
-    std::cout << "\nsharded execution (totals over " << results.size()
-              << " run(s), " << cfg.shards << " shards):\n"
-              << "  windows: " << windows
-              << ", engine phases: " << engine_phases << "\n"
-              << "  events in shards: " << shard_events
-              << ", in engine phases: " << engine_events << " ("
-              << metrics::Table::num(
-                     total_events > 0.0
-                         ? 100.0 * static_cast<double>(shard_events) /
-                               total_events
-                         : 0.0,
-                     1)
-              << "% parallelizable)\n"
-              << "  cross-shard messages: " << forwarded
-              << ", channel overflows: " << overflows << "\n";
   }
 
   // Printed only when the tracing plane ran (same byte-identity contract):

@@ -14,26 +14,18 @@
 #                       against it
 #   --max-regress PCT   fail when current wall exceeds baseline by more than
 #                       PCT percent (default: 10)
-#   --note TEXT         free-form annotation recorded in the scaling JSON
-#                       (e.g. capture-machine caveats)
 #   --skip-micro        skip the kernel micro benches
-#   --skip-pdes         skip the sharded-execution scaling curve
-#   --shards-list "S.."  shard counts for the PDES curve (default: "1 2 4 8")
-#   --pdes-nodes N      grid size for the PDES curve (default: 2000)
-#   --pdes-jobs N       job count for the PDES curve (default: 400)
 #   --quick             CI smoke profile: quick preset, 1 seed, workers "1 2",
-#                       1 repetition, shards "1 2" on a 200-node grid
+#                       1 repetition
 #   --gate-only CURRENT BASELINE
 #                       run only the regression check between two scaling JSONs
 #
-# Emits $OUT/BENCH_sim_kernel.json (google-benchmark medians),
-# $OUT/BENCH_sweep_scaling.json (the 1/2/4/..-worker wall-clock curve) and
-# $OUT/BENCH_pdes_scaling.json (one simulation at --shards 1/2/4/..,
-# docs/pdes.md "What bounds the speedup"). Independently of timing, the
+# Emits $OUT/BENCH_sim_kernel.json (google-benchmark medians) and
+# $OUT/BENCH_sweep_scaling.json (the 1/2/4/..-worker wall-clock curve; its
+# machine block is measured, never typed). Independently of timing, the
 # merged sweep reports of every worker count are byte-compared — a
-# worker-count-dependent report fails the gate even when it is fast — and
-# every sharded run must exit 0 (stranded jobs or lifecycle violations fail
-# the curve). See docs/sweep.md.
+# worker-count-dependent report fails the gate even when it is fast. See
+# docs/sweep.md.
 set -eu
 
 BUILD_DIR="build"
@@ -44,12 +36,7 @@ WORKERS_LIST="1 2 4 8"
 REPETITIONS=3
 BASELINE=""
 MAX_REGRESS=10
-NOTE=""
 SKIP_MICRO=0
-SKIP_PDES=0
-SHARDS_LIST="1 2 4 8"
-PDES_NODES=2000
-PDES_JOBS=400
 GATE_CURRENT=""
 GATE_BASELINE=""
 
@@ -63,15 +50,9 @@ while [ $# -gt 0 ]; do
     --repetitions) REPETITIONS="$2"; shift 2 ;;
     --baseline) BASELINE="$2"; shift 2 ;;
     --max-regress) MAX_REGRESS="$2"; shift 2 ;;
-    --note) NOTE="$2"; shift 2 ;;
     --skip-micro) SKIP_MICRO=1; shift ;;
-    --skip-pdes) SKIP_PDES=1; shift ;;
-    --shards-list) SHARDS_LIST="$2"; shift 2 ;;
-    --pdes-nodes) PDES_NODES="$2"; shift 2 ;;
-    --pdes-jobs) PDES_JOBS="$2"; shift 2 ;;
     --quick)
-      PRESET="quick"; SEEDS=1; WORKERS_LIST="1 2"; REPETITIONS=1
-      SHARDS_LIST="1 2"; PDES_NODES=200; PDES_JOBS=60; shift ;;
+      PRESET="quick"; SEEDS=1; WORKERS_LIST="1 2"; REPETITIONS=1; shift ;;
     --gate-only)
       [ $# -ge 3 ] || { echo "error: --gate-only CURRENT BASELINE" >&2; exit 2; }
       GATE_CURRENT="$2"; GATE_BASELINE="$3"; shift 3 ;;
@@ -150,7 +131,6 @@ done
 echo "  merged reports byte-identical across worker counts: OK"
 
 RUNS=$(( $(wc -l < "$FIRST_DIR/runs.csv") - 1 ))
-ARIA_BENCH_NOTE="$NOTE" \
 python3 - "$OUT/BENCH_sweep_scaling.json" "$PRESET" "$SEEDS" "$RUNS" $TIMINGS <<'EOF'
 import datetime, json, os, sys
 out, preset, seeds, runs = sys.argv[1:5]
@@ -179,73 +159,10 @@ doc = {
     "runs": int(runs),
     "workers": entries,
 }
-note = os.environ.get("ARIA_BENCH_NOTE", "")
-if note:
-    doc["note"] = note
 json.dump(doc, open(out, "w"), indent=2)
 open(out, "a").write("\n")
 print(f"scaling curve written to {out}")
 EOF
-
-if [ "$SKIP_PDES" -eq 0 ]; then
-  ARIA_SIM="$BUILD_DIR/tools/aria_sim"
-  if [ ! -x "$ARIA_SIM" ]; then
-    echo "error: $ARIA_SIM not found -- build the tools first" >&2
-    exit 1
-  fi
-  echo "== pdes shard scaling: $PDES_NODES nodes / $PDES_JOBS jobs," \
-       "--hierarchy, shards: $SHARDS_LIST =="
-  PDES_TIMINGS=""
-  for S in $SHARDS_LIST; do
-    start=$(date +%s%N)
-    # Exit code is a correctness gate: a stranded job or lifecycle violation
-    # under sharding fails the bench even when it is fast.
-    "$ARIA_SIM" --scenario iMixed --nodes "$PDES_NODES" --jobs "$PDES_JOBS" \
-      --horizon 960 --hierarchy --shards "$S" --seed 1 --quiet
-    end=$(date +%s%N)
-    ms=$(( (end - start) / 1000000 ))
-    echo "  $S shard(s): $ms ms"
-    PDES_TIMINGS="$PDES_TIMINGS $S:$ms"
-  done
-
-  ARIA_BENCH_NOTE="$NOTE" \
-  python3 - "$OUT/BENCH_pdes_scaling.json" "$PDES_NODES" "$PDES_JOBS" \
-      $PDES_TIMINGS <<'EOF'
-import datetime, json, os, sys
-out, nodes, jobs = sys.argv[1:4]
-entries = []
-for pair in sys.argv[4:]:
-    shards, ms = pair.split(":")
-    entries.append({"shards": int(shards), "wall_ms": int(ms)})
-base = entries[0]["wall_ms"]
-for e in entries:
-    e["speedup_vs_1s"] = round(base / e["wall_ms"], 2) if e["wall_ms"] else None
-cpu = ""
-try:
-    for line in open("/proc/cpuinfo"):
-        if line.startswith("model name"):
-            cpu = line.split(":", 1)[1].strip()
-            break
-except OSError:
-    pass
-doc = {
-    "schema": "aria-pdes-scaling-v1",
-    "captured_utc": datetime.datetime.now(datetime.timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%SZ"),
-    "machine": {"cpus": os.cpu_count(), "cpu_model": cpu},
-    "scenario": "iMixed --hierarchy",
-    "nodes": int(nodes),
-    "jobs": int(jobs),
-    "shards": entries,
-}
-note = os.environ.get("ARIA_BENCH_NOTE", "")
-if note:
-    doc["note"] = note
-json.dump(doc, open(out, "w"), indent=2)
-open(out, "a").write("\n")
-print(f"pdes scaling curve written to {out}")
-EOF
-fi
 
 if [ -n "$BASELINE" ]; then
   echo "== regression gate vs $BASELINE (max +$MAX_REGRESS%) =="
