@@ -1,9 +1,11 @@
 // Microbenchmarks of the hot paths a protocol round exercises: cost
 // functions over realistic queue depths, scheduler queue operations, flood
 // target selection, raw simulator event throughput, and the network
-// send/deliver/metering path. The `Simulator*`, `Network*` and `Traffic*`
-// benches feed tools/bench_sim_kernel.sh, which tracks the event-kernel
-// perf trajectory in BENCH_sim_kernel.json.
+// send/deliver/metering path. Run the binary directly; the `Simulator*`,
+// `Network*` and `Traffic*` benches cover the event kernel:
+//
+//   ./build/bench/bench_micro_core
+//       --benchmark_filter='Simulator|Network|Traffic' --benchmark_repetitions=3
 #include <benchmark/benchmark.h>
 
 #include "core/messages.hpp"

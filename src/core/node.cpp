@@ -566,8 +566,10 @@ void AriaNode::accept_job(const grid::JobSpec& spec, NodeId initiator,
   } else {
     sched_->enqueue(std::move(incoming));
   }
-  counters_.peak_queue_depth =
-      std::max<std::uint64_t>(counters_.peak_queue_depth, sched_->size());
+  if (overload_on()) {
+    counters_.peak_queue_depth =
+        std::max<std::uint64_t>(counters_.peak_queue_depth, sched_->size());
+  }
   if (reschedule) ++counters_.reschedules_in;
   if (ctx_.observer) {
     ctx_.observer->on_assigned(spec, self_, ctx_.sim->now(), reschedule);

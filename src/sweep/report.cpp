@@ -1,6 +1,5 @@
 #include "sweep/report.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
@@ -8,20 +7,17 @@ namespace aria::sweep {
 
 namespace {
 
+using workload::Fold;
+using workload::format_metric;
+using workload::run_metrics;
+
 constexpr double kMiB = 1024.0 * 1024.0;
 
-// Same fixed rendering as the trace exporters: a pure function of the
-// double's bits, so reports serialize identically everywhere.
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
+std::string fmt(double v) { return format_metric(v); }
 
-void write_stats(std::ostream& out, const char* key, const RunningStats& s) {
-  out << '"' << key << "\":{\"mean\":" << fmt(s.mean())
-      << ",\"stddev\":" << fmt(s.stddev()) << ",\"min\":" << fmt(s.min())
-      << ",\"max\":" << fmt(s.max()) << '}';
+void write_stats(std::ostream& out, const RunningStats& s) {
+  out << "{\"mean\":" << fmt(s.mean()) << ",\"stddev\":" << fmt(s.stddev())
+      << ",\"min\":" << fmt(s.min()) << ",\"max\":" << fmt(s.max()) << '}';
 }
 
 void write_traffic(std::ostream& out, const sim::TrafficLedger& ledger,
@@ -55,7 +51,35 @@ void write_audit_by_kind(std::ostream& out,
   out << '}';
 }
 
+// The keys every fold carries after its identity keys: "runs", one key per
+// run metric (a stats object for Fold::stats), audit kinds and traffic.
+void write_fold(std::ostream& out, const RunFold& fold) {
+  out << "\"runs\":" << fold.runs();
+  const auto metrics = run_metrics();
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    out << ",\"" << metrics[i].name << "\":";
+    if (metrics[i].fold == Fold::stats) {
+      write_stats(out, fold.metrics.stats(i));
+    } else {
+      out << format_metric(fold.metrics.value(i));
+    }
+  }
+  out << ",\"audit_by_kind\":";
+  write_audit_by_kind(out, fold.audit_by_kind);
+  out << ",\"traffic\":";
+  write_traffic(out, fold.traffic, fold.runs());
+}
+
 }  // namespace
+
+void RunFold::add(std::span<const workload::MetricValue> values,
+                  const workload::RunResult& r) {
+  metrics.add(values);
+  for (const auto& [kind, count] : r.audit_by_kind) {
+    audit_by_kind[kind] += count;
+  }
+  traffic.merge(r.traffic);
+}
 
 SweepReport SweepReport::build(
     const std::vector<RunSpec>& specs,
@@ -64,40 +88,9 @@ SweepReport SweepReport::build(
     throw std::invalid_argument("sweep report: spec/result count mismatch");
   }
   SweepReport report;
-  report.total_runs = results.size();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const RunSpec& spec = specs[i];
     const workload::RunResult& r = results[i];
-
-    RunRow run;
-    run.label = spec.label;
-    run.scenario = spec.config.name;
-    run.seed = spec.seed;
-    run.completed = r.completed();
-    run.completion_minutes = r.mean_completion_minutes();
-    run.waiting_minutes = r.mean_waiting_minutes();
-    run.execution_minutes = r.mean_execution_minutes();
-    run.reschedules = r.tracker.total_reschedules();
-    run.missed_deadlines = r.missed_deadlines();
-    run.stranded = r.stranded();
-    run.violations = r.tracker.violations().size();
-    const auto traffic = r.traffic.total();
-    run.traffic_messages = traffic.messages;
-    run.traffic_bytes = traffic.bytes;
-    run.events_fired = r.events_fired;
-    run.final_nodes = r.final_node_count;
-    run.digests_sent = r.digests_sent;
-    run.region_queries_served = r.region_queries_served;
-    run.region_forwards = r.region_forwards;
-    run.region_handoffs = r.region_handoffs;
-    run.region_pulls = r.region_pulls;
-    run.wide_floods = r.wide_floods;
-    run.early_wide_escalations = r.early_wide_escalations;
-    run.adv_assigns_swallowed = r.adv_assigns_swallowed;
-    run.hedges_dispatched = r.hedges_dispatched;
-    run.digests_clamped = r.digests_clamped;
-    run.audit_violations = r.audit_violations;
-    report.runs.push_back(std::move(run));
 
     if (spec.rep_index != 0 &&
         (report.rows.empty() || report.rows.back().label != spec.label)) {
@@ -114,148 +107,85 @@ SweepReport SweepReport::build(
       row.base_seed = spec.seed;
       report.rows.push_back(std::move(row));
     }
-    RowSummary& row = report.rows.back();
-    ++row.runs;
-    row.completed.add(static_cast<double>(r.completed()));
-    row.completion_minutes.add(r.mean_completion_minutes());
-    row.waiting_minutes.add(r.mean_waiting_minutes());
-    row.execution_minutes.add(r.mean_execution_minutes());
-    row.reschedules.add(static_cast<double>(r.tracker.total_reschedules()));
-    row.missed_deadlines.add(static_cast<double>(r.missed_deadlines()));
-    row.traffic_mib.add(static_cast<double>(traffic.bytes) / kMiB);
-    row.stranded += r.stranded();
-    row.violations += r.tracker.violations().size();
-    row.traffic.merge(r.traffic);
-    row.digests_sent += r.digests_sent;
-    row.region_queries_served += r.region_queries_served;
-    row.region_forwards += r.region_forwards;
-    row.region_handoffs += r.region_handoffs;
-    row.region_pulls += r.region_pulls;
-    row.wide_floods += r.wide_floods;
-    row.early_wide_escalations += r.early_wide_escalations;
-    row.adv_assigns_swallowed += r.adv_assigns_swallowed;
-    row.hedges_dispatched += r.hedges_dispatched;
-    row.digests_clamped += r.digests_clamped;
-    row.audit_violations += r.audit_violations;
-    for (const auto& [kind, count] : r.audit_by_kind) {
-      row.audit_by_kind[kind] += count;
-      report.audit_by_kind[kind] += count;
-    }
-
-    report.total_stranded += r.stranded();
-    report.total_violations += r.tracker.violations().size();
-    report.total_audit_violations += r.audit_violations;
-    report.traffic.merge(r.traffic);
+    RunRow run{spec.label, spec.config.name, spec.seed,
+               workload::read_metrics(r)};
+    report.rows.back().add(run.values, r);
+    report.totals.add(run.values, r);
+    report.runs.push_back(std::move(run));
   }
   return report;
 }
 
+bool SweepReport::passed() const {
+  return totals.metrics.count("stranded") == 0 &&
+         totals.metrics.count("lifecycle_violations") == 0 &&
+         totals.metrics.count("audit_violations") == 0;
+}
+
 void SweepReport::write_json(std::ostream& out) const {
-  out << "{\"schema\":\"aria-sweep-report-v1\",\"rows\":[";
+  out << "{\"schema\":\"aria-sweep-report-v2\",\"metrics\":[";
+  const auto metrics = run_metrics();
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    if (i != 0) out << ',';
+    out << "{\"name\":\"" << metrics[i].name << "\",\"unit\":\""
+        << metrics[i].unit << "\",\"plane\":\""
+        << workload::plane_name(metrics[i].plane) << "\"}";
+  }
+  out << "],\"rows\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RowSummary& row = rows[i];
     if (i != 0) out << ',';
     out << "{\"label\":\"" << row.label << "\",\"scenario\":\""
         << row.scenario << "\",\"nodes\":" << row.nodes
         << ",\"jobs\":" << row.jobs << ",\"base_seed\":" << row.base_seed
-        << ",\"runs\":" << row.runs << ',';
-    write_stats(out, "completed", row.completed);
-    out << ',';
-    write_stats(out, "completion_minutes", row.completion_minutes);
-    out << ',';
-    write_stats(out, "waiting_minutes", row.waiting_minutes);
-    out << ',';
-    write_stats(out, "execution_minutes", row.execution_minutes);
-    out << ',';
-    write_stats(out, "reschedules", row.reschedules);
-    out << ',';
-    write_stats(out, "missed_deadlines", row.missed_deadlines);
-    out << ',';
-    write_stats(out, "traffic_mib", row.traffic_mib);
-    out << ",\"stranded\":" << row.stranded
-        << ",\"violations\":" << row.violations
-        << ",\"hierarchy\":{\"digests_sent\":" << row.digests_sent
-        << ",\"region_queries_served\":" << row.region_queries_served
-        << ",\"region_forwards\":" << row.region_forwards
-        << ",\"region_handoffs\":" << row.region_handoffs
-        << ",\"region_pulls\":" << row.region_pulls
-        << ",\"wide_floods\":" << row.wide_floods
-        << ",\"early_wide_escalations\":" << row.early_wide_escalations
-        << "},\"adversary\":{\"assigns_swallowed\":"
-        << row.adv_assigns_swallowed
-        << ",\"hedges_dispatched\":" << row.hedges_dispatched
-        << ",\"digests_clamped\":" << row.digests_clamped
-        << "},\"audit\":{\"violations\":" << row.audit_violations
-        << ",\"by_kind\":";
-    write_audit_by_kind(out, row.audit_by_kind);
-    out << "},\"traffic\":";
-    write_traffic(out, row.traffic, row.runs);
+        << ',';
+    write_fold(out, row);
     out << '}';
   }
-  out << "],\"totals\":{\"runs\":" << total_runs
-      << ",\"stranded\":" << total_stranded
-      << ",\"violations\":" << total_violations
-      << ",\"audit_violations\":" << total_audit_violations
-      << ",\"audit_by_kind\":";
-  write_audit_by_kind(out, audit_by_kind);
-  out << ",\"traffic\":";
-  write_traffic(out, traffic, total_runs);
+  out << "],\"totals\":{";
+  write_fold(out, totals);
   out << "}}\n";
 }
 
 void SweepReport::write_summary_csv(std::ostream& out) const {
-  out << "label,scenario,runs,nodes,jobs,base_seed,"
-         "completed_mean,completed_stddev,"
-         "completion_min_mean,completion_min_stddev,"
-         "waiting_min_mean,execution_min_mean,"
-         "reschedules_mean,missed_deadlines_mean,"
-         "stranded,violations,traffic_mib_mean,"
-         "digests_sent,region_queries_served,region_forwards,"
-         "region_handoffs,region_pulls,wide_floods,"
-         "early_wide_escalations,adv_assigns_swallowed,hedges_dispatched,"
-         "digests_clamped,audit_violations\n";
+  out << "label,scenario,runs,nodes,jobs,base_seed";
+  const auto metrics = run_metrics();
+  for (const workload::RunMetric& m : metrics) {
+    if (m.fold == Fold::stats) {
+      for (const char* stat : {"_mean", "_stddev", "_min", "_max"}) {
+        out << ',' << m.name << stat;
+      }
+    } else {
+      out << ',' << m.name;
+    }
+  }
+  out << '\n';
   for (const RowSummary& row : rows) {
-    out << row.label << ',' << row.scenario << ',' << row.runs << ','
-        << row.nodes << ',' << row.jobs << ',' << row.base_seed << ','
-        << fmt(row.completed.mean()) << ',' << fmt(row.completed.stddev())
-        << ',' << fmt(row.completion_minutes.mean()) << ','
-        << fmt(row.completion_minutes.stddev()) << ','
-        << fmt(row.waiting_minutes.mean()) << ','
-        << fmt(row.execution_minutes.mean()) << ','
-        << fmt(row.reschedules.mean()) << ','
-        << fmt(row.missed_deadlines.mean()) << ',' << row.stranded << ','
-        << row.violations << ',' << fmt(row.traffic_mib.mean()) << ','
-        << row.digests_sent << ',' << row.region_queries_served << ','
-        << row.region_forwards << ',' << row.region_handoffs << ','
-        << row.region_pulls << ',' << row.wide_floods << ','
-        << row.early_wide_escalations << ',' << row.adv_assigns_swallowed
-        << ',' << row.hedges_dispatched << ',' << row.digests_clamped << ','
-        << row.audit_violations << '\n';
+    out << row.label << ',' << row.scenario << ',' << row.runs() << ','
+        << row.nodes << ',' << row.jobs << ',' << row.base_seed;
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+      if (metrics[i].fold == Fold::stats) {
+        const RunningStats& s = row.metrics.stats(i);
+        out << ',' << fmt(s.mean()) << ',' << fmt(s.stddev()) << ','
+            << fmt(s.min()) << ',' << fmt(s.max());
+      } else {
+        out << ',' << format_metric(row.metrics.value(i));
+      }
+    }
+    out << '\n';
   }
 }
 
 void SweepReport::write_runs_csv(std::ostream& out) const {
-  out << "label,scenario,seed,completed,completion_minutes,waiting_minutes,"
-         "execution_minutes,reschedules,missed_deadlines,stranded,"
-         "violations,traffic_messages,traffic_bytes,events_fired,"
-         "final_nodes,digests_sent,region_queries_served,region_forwards,"
-         "region_handoffs,region_pulls,wide_floods,early_wide_escalations,"
-         "adv_assigns_swallowed,hedges_dispatched,digests_clamped,"
-         "audit_violations\n";
+  out << "label,scenario,seed";
+  for (const workload::RunMetric& m : run_metrics()) out << ',' << m.name;
+  out << '\n';
   for (const RunRow& run : runs) {
-    out << run.label << ',' << run.scenario << ',' << run.seed << ','
-        << run.completed << ',' << fmt(run.completion_minutes) << ','
-        << fmt(run.waiting_minutes) << ',' << fmt(run.execution_minutes)
-        << ',' << run.reschedules << ',' << run.missed_deadlines << ','
-        << run.stranded << ',' << run.violations << ','
-        << run.traffic_messages << ',' << run.traffic_bytes << ','
-        << run.events_fired << ',' << run.final_nodes << ','
-        << run.digests_sent << ',' << run.region_queries_served << ','
-        << run.region_forwards << ',' << run.region_handoffs << ','
-        << run.region_pulls << ',' << run.wide_floods << ','
-        << run.early_wide_escalations << ',' << run.adv_assigns_swallowed
-        << ',' << run.hedges_dispatched << ',' << run.digests_clamped << ','
-        << run.audit_violations << '\n';
+    out << run.label << ',' << run.scenario << ',' << run.seed;
+    for (const workload::MetricValue& v : run.values) {
+      out << ',' << format_metric(v);
+    }
+    out << '\n';
   }
 }
 

@@ -2,107 +2,61 @@
 //
 // build() folds results in matrix order (row-major, seeds ascending — the
 // order expand() produced, independent of which worker finished what when),
-// so every emitted byte is a pure function of (matrix, seeds). The JSON and
-// CSV writers render doubles with the same fixed "%.9g" the trace exporters
-// use; nondeterministic measurements (wall-clock) are deliberately excluded
-// — timing lives in BENCH_sweep_scaling.json, not in the report files. See
-// docs/sweep.md for the determinism contract.
+// so every emitted byte is a pure function of (matrix, seeds). Every column
+// and key comes from the run metric table (workload/run_metrics.hpp): counts
+// render as exact integers, doubles with the same fixed "%.9g" the trace
+// exporters use. Nondeterministic measurements (wall-clock) are deliberately
+// excluded — timing lives in BENCH_sweep_scaling.json, not in the report
+// files. See docs/sweep.md for the schema and the determinism contract.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "sim/traffic.hpp"
 #include "sweep/matrix.hpp"
 #include "workload/engine.hpp"
+#include "workload/run_metrics.hpp"
 
 namespace aria::sweep {
 
-/// One executed run, flattened to the scalar metrics the reports carry.
+/// One executed run: its identity plus one value per run metric.
 struct RunRow {
   std::string label;
   std::string scenario;
   std::uint64_t seed{0};
-  std::size_t completed{0};
-  double completion_minutes{0.0};
-  double waiting_minutes{0.0};
-  double execution_minutes{0.0};
-  std::uint64_t reschedules{0};
-  std::size_t missed_deadlines{0};
-  std::size_t stranded{0};
-  std::size_t violations{0};
-  std::uint64_t traffic_messages{0};
-  std::uint64_t traffic_bytes{0};
-  std::uint64_t events_fired{0};
-  std::size_t final_nodes{0};
-  // Hierarchy/overlay health (all zero when the hierarchy is off).
-  std::uint64_t digests_sent{0};
-  std::uint64_t region_queries_served{0};
-  std::uint64_t region_forwards{0};
-  std::uint64_t region_handoffs{0};  // cold-aggregator failovers taken
-  std::uint64_t region_pulls{0};
-  std::uint64_t wide_floods{0};
-  std::uint64_t early_wide_escalations{0};
-  // Adversary/defense planes (zero on honest / undefended runs).
-  std::uint64_t adv_assigns_swallowed{0};
-  std::uint64_t hedges_dispatched{0};
-  std::uint64_t digests_clamped{0};
-  // Invariant auditor (zero when --audit is off; see docs/audit.md).
-  std::uint64_t audit_violations{0};
+  std::vector<workload::MetricValue> values;  // indexed like run_metrics()
 };
 
-/// Welford aggregate over one matrix row (every seed of one label).
-struct RowSummary {
+/// Runs folded together: every run metric by its Fold rule (Welford stats
+/// for Fold::stats), the auditor's per-kind totals and the traffic ledger.
+struct RunFold {
+  workload::MetricTotals metrics;
+  std::map<std::string, std::uint64_t> audit_by_kind;  // name-sorted
+  sim::TrafficLedger traffic;  // summed; divide by runs for per-run means
+
+  std::size_t runs() const { return metrics.runs(); }
+  void add(std::span<const workload::MetricValue> values,
+           const workload::RunResult& r);
+};
+
+/// One matrix row (every seed of one label).
+struct RowSummary : RunFold {
   std::string label;
   std::string scenario;
   std::size_t nodes{0};
   std::size_t jobs{0};
   std::uint64_t base_seed{0};
-  std::size_t runs{0};
-
-  RunningStats completed;
-  RunningStats completion_minutes;
-  RunningStats waiting_minutes;
-  RunningStats execution_minutes;
-  RunningStats reschedules;
-  RunningStats missed_deadlines;
-  RunningStats traffic_mib;
-
-  std::uint64_t stranded{0};    // summed over the row's runs
-  std::uint64_t violations{0};  // summed lifecycle violations
-  sim::TrafficLedger traffic;   // summed; divide by runs for per-run means
-
-  // Hierarchy/overlay health, summed over the row's runs.
-  std::uint64_t digests_sent{0};
-  std::uint64_t region_queries_served{0};
-  std::uint64_t region_forwards{0};
-  std::uint64_t region_handoffs{0};
-  std::uint64_t region_pulls{0};
-  std::uint64_t wide_floods{0};
-  std::uint64_t early_wide_escalations{0};
-  // Adversary/defense planes, summed over the row's runs.
-  std::uint64_t adv_assigns_swallowed{0};
-  std::uint64_t hedges_dispatched{0};
-  std::uint64_t digests_clamped{0};
-  // Auditor violations, summed plus per-kind (std::map => name-sorted).
-  std::uint64_t audit_violations{0};
-  std::map<std::string, std::uint64_t> audit_by_kind;
 };
 
 struct SweepReport {
   std::vector<RowSummary> rows;  // matrix row order
   std::vector<RunRow> runs;      // matrix order: row-major, seeds ascending
-
-  std::size_t total_runs{0};
-  std::uint64_t total_stranded{0};
-  std::uint64_t total_violations{0};
-  std::uint64_t total_audit_violations{0};
-  std::map<std::string, std::uint64_t> audit_by_kind;  // name-sorted
-  sim::TrafficLedger traffic;  // summed over every run
+  RunFold totals;                // every run
 
   /// Folds results (indexed like specs, the expand() order) into the
   /// report. Never reorders: two calls with the same inputs produce
@@ -110,7 +64,12 @@ struct SweepReport {
   static SweepReport build(const std::vector<RunSpec>& specs,
                            const std::vector<workload::RunResult>& results);
 
-  /// summary.json: per-row stats + traffic tables + totals.
+  /// The sweep's bar: no stranded job, no lifecycle violation and no
+  /// auditor violation in any run. aria_sweep exits 1 otherwise.
+  bool passed() const;
+
+  /// summary.json: metric declarations, per-row folds, traffic tables,
+  /// totals.
   void write_json(std::ostream& out) const;
   /// summary.csv: one line per matrix row.
   void write_summary_csv(std::ostream& out) const;

@@ -11,6 +11,7 @@
 #include "overlay/region.hpp"
 #include "sched/policies.hpp"
 #include "sim/latency.hpp"
+#include "workload/run_metrics.hpp"
 
 namespace aria::workload {
 
@@ -112,13 +113,6 @@ double RunResult::traffic_mib_total() const {
 double RunResult::probe_traffic_mib() const {
   return traffic_mib(proto::kPingType) + traffic_mib(proto::kPongType) +
          traffic_mib(proto::kLinkReqType) + traffic_mib(proto::kLinkAckType);
-}
-
-double RunResult::region_traffic_mib() const {
-  return traffic_mib(proto::kRegionLoadType) +
-         traffic_mib(proto::kRegionDigestType) +
-         traffic_mib(proto::kRegionQueryType) +
-         traffic_mib(proto::kRegionFwdType);
 }
 
 metrics::LoadBalance RunResult::execution_balance() const {
@@ -631,11 +625,7 @@ RunResult GridSimulation::run() {
     r.duplicated_messages = net_->duplicated_messages();
   }
   r.submissions_dropped = submissions_dropped_;
-  if (config_.aria.failsafe) {
-    for (const auto& n : nodes_) {
-      r.completion_replays += n->counters().completion_replays;
-    }
-  }
+  for (const auto& n : nodes_) fold_node_counters(r.counters, n->counters());
   if (config_.aria.healing.enabled) {
     r.healing_enabled = true;
     for (const auto& n : nodes_) {
@@ -658,17 +648,6 @@ RunResult GridSimulation::run() {
   }
   if (config_.aria.overload.enabled) {
     r.overload_enabled = true;
-    for (const auto& n : nodes_) {
-      const auto& c = n->counters();
-      r.jobs_shed += c.jobs_shed;
-      r.sheds_rescheduled += c.sheds_rescheduled;
-      r.sheds_failsafe += c.sheds_failsafe;
-      r.assign_rejects += c.rejects_sent;
-      r.reject_rediscoveries += c.reject_rediscoveries;
-      r.bids_suppressed += c.bids_suppressed;
-      r.peak_queue_depth =
-          std::max<std::uint64_t>(r.peak_queue_depth, c.peak_queue_depth);
-    }
     r.queue_depth_series = queue_depth_series_;
     r.shed_series = shed_series_;
     r.reject_series = reject_series_;
@@ -679,43 +658,12 @@ RunResult GridSimulation::run() {
     r.adversaries_enabled = true;
     for (const auto& n : nodes_) {
       if (n->adversary_role()) ++r.adversary_count;
-      const auto& c = n->counters();
-      r.adv_underbids += c.adv_underbids;
-      r.adv_informs_deflated += c.adv_informs_deflated;
-      r.adv_assigns_swallowed += c.adv_assigns_swallowed;
-      r.adv_digests_poisoned += c.adv_digests_poisoned;
     }
   }
-  if (config_.aria.defense.enabled) {
-    r.defense_enabled = true;
-    for (const auto& n : nodes_) {
-      const auto& c = n->counters();
-      r.offers_distrusted += c.offers_distrusted;
-      r.stragglers_detected += c.stragglers_detected;
-      r.revokes_sent += c.revokes_sent;
-      r.revoke_acks_sent += c.revoke_acks_sent;
-      r.hedges_dispatched += c.hedges_dispatched;
-      r.digests_clamped += c.digests_clamped;
-      r.reputation_evictions += c.reputation_evictions;
-    }
-  }
+  r.defense_enabled = config_.aria.defense.enabled;
   if (config_.aria.hierarchy.enabled) {
     r.hierarchy_enabled = true;
     r.region_count = config_.aria.hierarchy.region_count;
-    for (const auto& n : nodes_) {
-      const auto& c = n->counters();
-      r.region_queries += c.region_queries_sent;
-      r.region_queries_served += c.region_queries_served;
-      r.region_forwards += c.region_forwards;
-      r.region_floods += c.region_floods;
-      r.wide_floods += c.wide_floods;
-      r.load_reports += c.load_reports_sent;
-      r.digests_sent += c.digests_sent;
-      r.digests_received += c.digests_received;
-      r.region_pulls += c.region_pulls_sent;
-      r.region_handoffs += c.region_handoffs;
-      r.early_wide_escalations += c.early_wide_escalations;
-    }
     r.intra_region_messages = net_->intra_region_messages();
     r.cross_region_messages = net_->cross_region_messages();
     r.intra_region_bytes = net_->intra_region_bytes();
@@ -785,10 +733,21 @@ void fp_series(std::ostream& os, const metrics::Series& s) {
 std::string run_fingerprint(const RunResult& r) {
   std::ostringstream os;
   os << "scenario " << r.scenario_name << " seed " << r.seed << "\n";
-  os << "events_fired " << r.events_fired << "\n";
-  os << "final_node_count " << r.final_node_count << "\n";
-  os << "overlay " << r.overlay_links << " " << fp_double(r.overlay_avg_degree)
-     << " " << fp_double(r.overlay_avg_path_length) << "\n";
+  for (const Plane plane : kPlanes) {
+    if (plane == Plane::core) continue;
+    os << "plane " << plane_name(plane) << " " << plane_enabled(r, plane)
+       << "\n";
+  }
+  for (const RunMetric& m : run_metrics()) {
+    const MetricValue v = m.value(r);
+    os << "metric " << m.name << " ";
+    if (const auto* count = std::get_if<std::uint64_t>(&v)) {
+      os << *count;
+    } else {
+      os << fp_double(std::get<double>(v));
+    }
+    os << "\n";
+  }
 
   // Jobs: records() is an unordered_map, so sort by job id for a canonical
   // order. Every lifecycle field participates.
@@ -838,44 +797,6 @@ std::string run_fingerprint(const RunResult& r) {
   fp_series(os, r.shed_series);
   fp_series(os, r.reject_series);
 
-  os << "faults " << r.faults_enabled << " " << r.faults.lost << " "
-     << r.faults.duplicated << " " << r.faults.delayed << " "
-     << r.faults.partition_drops << " " << r.faults.crashes << " "
-     << r.faults.restarts << " " << r.faults.targeted_crashes << "\n";
-  os << "faulted_messages " << r.faulted_messages << " duplicated "
-     << r.duplicated_messages << " submissions_dropped "
-     << r.submissions_dropped << " completion_replays " << r.completion_replays
-     << "\n";
-
-  os << "healing " << r.healing_enabled << " " << r.neighbor_evictions << " "
-     << r.false_suspicions << " " << r.repair_links << " "
-     << r.rejoin_requests << " " << r.probe_rounds << " "
-     << r.live_disconnected_samples << " " << fp_double(r.max_heal_minutes)
-     << " " << r.live_subgraph_connected_at_end << "\n";
-
-  os << "overload " << r.overload_enabled << " " << r.jobs_shed << " "
-     << r.sheds_rescheduled << " " << r.sheds_failsafe << " "
-     << r.assign_rejects << " " << r.reject_rediscoveries << " "
-     << r.bids_suppressed << " " << r.peak_queue_depth << "\n";
-
-  os << "hierarchy " << r.hierarchy_enabled << " " << r.region_count << " "
-     << r.region_queries << " " << r.region_queries_served << " "
-     << r.region_forwards << " " << r.region_floods << " " << r.wide_floods
-     << " " << r.load_reports << " " << r.digests_sent << " "
-     << r.digests_received << " " << r.region_pulls << " "
-     << r.region_handoffs << " " << r.early_wide_escalations << "\n";
-  os << "region_wire " << r.intra_region_messages << " "
-     << r.cross_region_messages << " " << r.intra_region_bytes << " "
-     << r.cross_region_bytes << "\n";
-
-  os << "adversaries " << r.adversaries_enabled << " " << r.adversary_count
-     << " " << r.adv_underbids << " " << r.adv_informs_deflated << " "
-     << r.adv_assigns_swallowed << " " << r.adv_digests_poisoned << "\n";
-
-  os << "defenses " << r.defense_enabled << " " << r.offers_distrusted << " "
-     << r.stragglers_detected << " " << r.revokes_sent << " "
-     << r.revoke_acks_sent << " " << r.hedges_dispatched << " "
-     << r.digests_clamped << " " << r.reputation_evictions << "\n";
   return os.str();
 }
 

@@ -34,6 +34,10 @@ struct RunResult {
   std::uint64_t seed{0};
 
   proto::JobTracker tracker;
+  /// Every node's protocol counters folded over the grid (summed; max for
+  /// peak_queue_depth). A plane's counters stay zero while it is off.
+  /// Reported through the metric table (workload/run_metrics.hpp).
+  proto::AriaNode::Counters counters{};
   sim::TrafficLedger traffic;
   metrics::Series idle_series;        // idle-node count over time
   metrics::Series node_count_series;  // grid size over time (expansion)
@@ -46,10 +50,6 @@ struct RunResult {
   /// Submissions that found no alive node to accept them (whole-grid
   /// outage); these jobs never reach the tracker, so stranded() adds them.
   std::uint64_t submissions_dropped{0};
-  /// Failsafe recovery floods answered by an executor replaying the
-  /// completion receipt (the original NOTIFY never landed); each one is an
-  /// avoided duplicate execution.
-  std::uint64_t completion_replays{0};
 
   // --- self-healing overlay plane (all zero when healing is off) --------
   bool healing_enabled{false};
@@ -65,35 +65,16 @@ struct RunResult {
   double max_heal_minutes{0.0};
   bool live_subgraph_connected_at_end{true};
 
-  // --- overload plane (all zero when overload is off) -------------------
+  // --- overload plane (empty when overload is off) ----------------------
   bool overload_enabled{false};
-  std::uint64_t jobs_shed{0};            // bounded-queue evictions
-  std::uint64_t sheds_rescheduled{0};    // shed jobs taken by INFORM offers
-  std::uint64_t sheds_failsafe{0};       // shed bursts that re-flooded
-  std::uint64_t assign_rejects{0};       // ASSIGNs answered with REJECT
-  std::uint64_t reject_rediscoveries{0}; // REJECTed delegations re-floated
-  std::uint64_t bids_suppressed{0};      // ACCEPTs withheld while saturated
-  std::uint64_t peak_queue_depth{0};     // max over nodes and time
-  metrics::Series queue_depth_series;    // max queue depth across nodes
-  metrics::Series shed_series;           // cumulative sheds over time
-  metrics::Series reject_series;         // cumulative REJECTs over time
+  metrics::Series queue_depth_series;  // max queue depth across nodes
+  metrics::Series shed_series;         // cumulative sheds over time
+  metrics::Series reject_series;       // cumulative REJECTs over time
 
   // --- hierarchy plane (all zero when hierarchy is off) -----------------
   bool hierarchy_enabled{false};
   /// Resolved region count R (the engine writes auto-sizing back).
   std::size_t region_count{0};
-  std::uint64_t region_queries{0};        // empty rounds escalated cross-region
-  std::uint64_t region_queries_served{0}; // queries aggregators answered
-  std::uint64_t region_forwards{0};       // REGION_FWDs to remote aggregators
-  std::uint64_t region_floods{0};         // remote floods run for initiators
-  std::uint64_t wide_floods{0};           // scope-widened REQUEST floods
-  std::uint64_t load_reports{0};          // member REGION_LOADs sent
-  std::uint64_t digests_sent{0};          // REGION_DIGEST broadcasts
-  std::uint64_t digests_received{0};      // remote digests folded into tables
-  // Chaos-hardening telemetry (docs/hierarchy.md "Failure modes"):
-  std::uint64_t region_pulls{0};          // cold-restart REGION_PULL floods
-  std::uint64_t region_handoffs{0};       // queries bounced to the next rank
-  std::uint64_t early_wide_escalations{0};  // silence-forced wide floods
   /// Wire split by the sender/receiver region partition (see
   /// sim::Network::set_region_count).
   std::uint64_t intra_region_messages{0};
@@ -106,21 +87,8 @@ struct RunResult {
   /// Nodes the stateless designation hash marked as adversaries (over the
   /// final grid, expansion joiners included).
   std::size_t adversary_count{0};
-  std::uint64_t adv_underbids{0};         // ACCEPT bids quoted below true cost
-  std::uint64_t adv_informs_deflated{0};  // INFORM/shed ads at deflated cost
-  std::uint64_t adv_assigns_swallowed{0}; // ASSIGNs black-holed
-  std::uint64_t adv_digests_poisoned{0};  // REGION_DIGESTs inflated
-
   // --- defense plane (all zero when defenses are off) -------------------
   bool defense_enabled{false};
-  std::uint64_t offers_distrusted{0};     // ACCEPTs dropped below suspicion
-  std::uint64_t stragglers_detected{0};   // quoted-ETTC deadline expiries
-  std::uint64_t revokes_sent{0};          // REVOKE notifies (incl. retries)
-  std::uint64_t revoke_acks_sent{0};      // assignee-side surrendered jobs
-  std::uint64_t hedges_dispatched{0};     // duplicate ASSIGNs to runner-ups
-  std::uint64_t digests_clamped{0};       // digests rejected by sanity clamp
-  std::uint64_t reputation_evictions{0};  // overlay evictions on distrust
-
   // --- audit plane (all empty when auditing is off) ---------------------
   bool audit_enabled{false};
   /// Total invariant violations detected (docs/audit.md). Must be 0 on
@@ -168,9 +136,6 @@ struct RunResult {
   double traffic_mib_total() const;
   /// Healing-plane control traffic (PING + PONG + LINK_REQ + LINK_ACK).
   double probe_traffic_mib() const;
-  /// Hierarchy-plane control traffic (REGION_LOAD + REGION_DIGEST +
-  /// REGION_QUERY + REGION_FWD).
-  double region_traffic_mib() const;
 
   /// Load-balance over executed-job counts per node (paper abstract:
   /// "improving the overall performance in terms of ... load-balancing").
@@ -291,9 +256,10 @@ class GridSimulation {
 RunResult run_scenario(const ScenarioConfig& scenario, std::uint64_t seed);
 
 /// Canonical textual digest of every deterministic field of a RunResult —
-/// per-job lifecycle lines sorted by job id, per-type traffic, plane
-/// counters, series checksums; floats rendered as hexfloat so equality is
-/// bit-equality. Excludes wall_seconds (host time).
+/// plane switches, one `metric <name> <value>` line per run_metrics() entry,
+/// per-job lifecycle lines sorted by job id, per-type traffic, series
+/// checksums; floats rendered as hexfloat so equality is bit-equality.
+/// Excludes wall_seconds (host time).
 std::string run_fingerprint(const RunResult& r);
 
 }  // namespace aria::workload

@@ -156,7 +156,7 @@ TEST(Adversary, UnderbiddersLieOnTheWire) {
 
   ASSERT_TRUE(r.adversaries_enabled);
   EXPECT_GT(r.adversary_count, 0u);
-  EXPECT_GT(r.adv_underbids, 0u);
+  EXPECT_GT(r.counters.adv_underbids, 0u);
   // Underbidders run what they win (slowly); nothing strands.
   EXPECT_EQ(r.stranded(), 0u);
   EXPECT_TRUE(r.tracker.violations().empty());
@@ -169,7 +169,7 @@ TEST(Adversary, BlackholesSwallowAssignsButTheFailsafeRecovers) {
   const workload::RunResult r = workload::run_scenario(cfg, 73);
 
   ASSERT_TRUE(r.adversaries_enabled);
-  EXPECT_GT(r.adv_assigns_swallowed, 0u);
+  EXPECT_GT(r.counters.adv_assigns_swallowed, 0u);
   // Every swallowed job came back through the watchdog re-flood.
   EXPECT_EQ(r.stranded(), 0u);
   EXPECT_TRUE(r.tracker.violations().empty());
@@ -181,7 +181,7 @@ TEST(Adversary, FreeridersDeflateTheirAdvertisements) {
   const workload::RunResult r = workload::run_scenario(cfg, 79);
 
   ASSERT_TRUE(r.adversaries_enabled);
-  EXPECT_GT(r.adv_informs_deflated, 0u);
+  EXPECT_GT(r.counters.adv_informs_deflated, 0u);
   EXPECT_EQ(r.stranded(), 0u);
 }
 
@@ -192,14 +192,14 @@ TEST(Adversary, PoisonersInflateDigestsAndTheClampRejectsThem) {
   const workload::RunResult undefended = workload::run_scenario(cfg, 83);
 
   ASSERT_TRUE(undefended.adversaries_enabled);
-  EXPECT_GT(undefended.adv_digests_poisoned, 0u);
+  EXPECT_GT(undefended.counters.adv_digests_poisoned, 0u);
   // The auditor knows who was designated: poisoned digests land in the
   // informational expected-adversary counter, not in the violation total.
   EXPECT_EQ(undefended.audit_violations, 0u);
 
   cfg.aria.defense.enabled = true;
   const workload::RunResult defended = workload::run_scenario(cfg, 83);
-  EXPECT_GT(defended.digests_clamped, 0u);
+  EXPECT_GT(defended.counters.digests_clamped, 0u);
   EXPECT_EQ(defended.audit_violations, 0u);
   EXPECT_EQ(defended.stranded(), 0u);
 }
@@ -221,11 +221,11 @@ TEST(Adversary, SameSeedCocktailReplaysByteIdentically) {
   const workload::RunResult b = workload::run_scenario(cfg, 89);
 
   EXPECT_EQ(a.adversary_count, b.adversary_count);
-  EXPECT_EQ(a.adv_underbids, b.adv_underbids);
-  EXPECT_EQ(a.adv_assigns_swallowed, b.adv_assigns_swallowed);
-  EXPECT_EQ(a.adv_digests_poisoned, b.adv_digests_poisoned);
-  EXPECT_EQ(a.offers_distrusted, b.offers_distrusted);
-  EXPECT_EQ(a.hedges_dispatched, b.hedges_dispatched);
+  EXPECT_EQ(a.counters.adv_underbids, b.counters.adv_underbids);
+  EXPECT_EQ(a.counters.adv_assigns_swallowed, b.counters.adv_assigns_swallowed);
+  EXPECT_EQ(a.counters.adv_digests_poisoned, b.counters.adv_digests_poisoned);
+  EXPECT_EQ(a.counters.offers_distrusted, b.counters.offers_distrusted);
+  EXPECT_EQ(a.counters.hedges_dispatched, b.counters.hedges_dispatched);
   EXPECT_EQ(a.events_fired, b.events_fired);
   EXPECT_EQ(a.traffic.total().messages, b.traffic.total().messages);
   EXPECT_EQ(a.traffic.total().bytes, b.traffic.total().bytes);
@@ -243,7 +243,7 @@ TEST(Adversary, DefendedCocktailFiltersOffersAndAuditsClean) {
 
   ASSERT_TRUE(r.defense_enabled);
   // The ledger convicted repeat offenders and the ranking skipped them.
-  EXPECT_GT(r.offers_distrusted, 0u);
+  EXPECT_GT(r.counters.offers_distrusted, 0u);
   // The acceptance bar of docs/adversary.md: nothing strands, the online
   // auditor sees no invariant violation, the lifecycle tracker agrees.
   EXPECT_EQ(r.stranded(), 0u);
@@ -268,9 +268,9 @@ TEST(Adversary, HedgedRedispatchFiresButNeverDoubleRuns) {
   const workload::RunResult r = workload::run_scenario(cfg, 101);
 
   ASSERT_TRUE(r.defense_enabled);
-  EXPECT_GT(r.stragglers_detected, 0u);
-  EXPECT_GT(r.revokes_sent, 0u);
-  EXPECT_GT(r.hedges_dispatched, 0u);
+  EXPECT_GT(r.counters.stragglers_detected, 0u);
+  EXPECT_GT(r.counters.revokes_sent, 0u);
+  EXPECT_GT(r.counters.hedges_dispatched, 0u);
   // Proof of single execution: zero audit violations means every completion
   // fit the 1 + recoveries + hedges budget and no hedge exceeded its cap.
   EXPECT_EQ(r.audit_violations, 0u);

@@ -140,11 +140,11 @@ TEST(Determinism, HierarchyGoldenRun) {
   EXPECT_EQ(r.completed(), 60u);
   EXPECT_EQ(r.events_fired, 856945u);
   EXPECT_EQ(r.tracker.total_reschedules(), 0u);
-  EXPECT_EQ(r.region_queries, 66u);
-  EXPECT_EQ(r.region_forwards, 66u);
-  EXPECT_EQ(r.load_reports, 396000u);
-  EXPECT_EQ(r.digests_sent, 24000u);
-  EXPECT_EQ(r.digests_received, 24000u);
+  EXPECT_EQ(r.counters.region_queries_sent, 66u);
+  EXPECT_EQ(r.counters.region_forwards, 66u);
+  EXPECT_EQ(r.counters.load_reports_sent, 396000u);
+  EXPECT_EQ(r.counters.digests_sent, 24000u);
+  EXPECT_EQ(r.counters.digests_received, 24000u);
   EXPECT_EQ(r.intra_region_messages, 425142u);
   EXPECT_EQ(r.cross_region_messages, 24899u);
   expect_traffic(r, {{"ACCEPT", {1579, 202112}},
@@ -212,8 +212,10 @@ TEST(Determinism, SameSeedFingerprintsAreEqualAcrossPlanes) {
 }
 
 // FNV-1a of the default run's fingerprint. Any change to what a plain run
-// computes moves it; rev it only together with the goldens above.
-constexpr std::uint64_t kGoldenFingerprintHash = 0xb2e877a5477131f4ULL;
+// computes moves it; rev it only together with the goldens above. Re-pinned
+// once when the fingerprint moved to one `metric <name> <value>` line per
+// run metric table entry (a layout change; every value stayed the same).
+constexpr std::uint64_t kGoldenFingerprintHash = 0xe01b48dc2e6ffee2ULL;
 
 TEST(Determinism, GoldenRunFingerprintMatchesRecordedHash) {
   const std::string fp = run_fingerprint(run_scenario(golden_scenario(), 42));

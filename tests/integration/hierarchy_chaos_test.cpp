@@ -38,8 +38,8 @@ TEST(HierarchyChaos, WarmupKnobIsInertWithoutRestarts) {
   cfg.aria.hierarchy.aggregator_warmup = 2_h;
   const workload::RunResult r = workload::run_scenario(cfg, 61);
 
-  EXPECT_EQ(r.region_pulls, 0u);
-  EXPECT_EQ(r.region_handoffs, 0u);
+  EXPECT_EQ(r.counters.region_pulls_sent, 0u);
+  EXPECT_EQ(r.counters.region_handoffs, 0u);
   EXPECT_EQ(r.events_fired, base.events_fired);
   EXPECT_EQ(r.traffic.total().messages, base.traffic.total().messages);
   EXPECT_EQ(r.traffic.total().bytes, base.traffic.total().bytes);
@@ -62,12 +62,12 @@ TEST(HierarchyChaos, RestartedAggregatorsComeBackColdAndSolicit) {
 
   EXPECT_GT(a.faults.restarts, 0u);
   // Every aggregator restart floods a REGION_PULL solicitation.
-  EXPECT_GT(a.region_pulls, 0u);
+  EXPECT_GT(a.counters.region_pulls_sent, 0u);
   EXPECT_EQ(a.stranded(), 0u);
   EXPECT_TRUE(a.tracker.violations().empty());
 
-  EXPECT_EQ(a.region_pulls, b.region_pulls);
-  EXPECT_EQ(a.region_handoffs, b.region_handoffs);
+  EXPECT_EQ(a.counters.region_pulls_sent, b.counters.region_pulls_sent);
+  EXPECT_EQ(a.counters.region_handoffs, b.counters.region_handoffs);
   EXPECT_EQ(a.events_fired, b.events_fired);
   EXPECT_EQ(a.traffic.total().bytes, b.traffic.total().bytes);
 }
@@ -102,13 +102,14 @@ TEST(HierarchyChaos, DeadCandidateListStillCompletesViaWideFloods) {
   ASSERT_TRUE(a.faults_enabled);
   EXPECT_GT(a.faults.targeted_crashes, 0u);
   // Discovery did have to route around the dead interior...
-  EXPECT_GT(a.wide_floods, 0u);
+  EXPECT_GT(a.counters.wide_floods, 0u);
   // ...and no job stranded on it.
   EXPECT_EQ(a.stranded(), 0u);
   EXPECT_TRUE(a.tracker.violations().empty());
 
-  EXPECT_EQ(a.wide_floods, b.wide_floods);
-  EXPECT_EQ(a.early_wide_escalations, b.early_wide_escalations);
+  EXPECT_EQ(a.counters.wide_floods, b.counters.wide_floods);
+  EXPECT_EQ(a.counters.early_wide_escalations,
+            b.counters.early_wide_escalations);
   EXPECT_EQ(a.events_fired, b.events_fired);
   EXPECT_EQ(a.traffic.total().bytes, b.traffic.total().bytes);
 }

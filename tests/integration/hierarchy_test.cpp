@@ -50,11 +50,11 @@ TEST(HierarchyIntegration, InertKnobsPreserveDeterminism) {
   const workload::RunResult r = workload::run_scenario(knobs, 17);
 
   EXPECT_FALSE(r.hierarchy_enabled);
-  EXPECT_EQ(r.region_queries, 0u);
-  EXPECT_EQ(r.region_floods, 0u);
-  EXPECT_EQ(r.wide_floods, 0u);
-  EXPECT_EQ(r.load_reports, 0u);
-  EXPECT_EQ(r.digests_sent, 0u);
+  EXPECT_EQ(r.counters.region_queries_sent, 0u);
+  EXPECT_EQ(r.counters.region_floods, 0u);
+  EXPECT_EQ(r.counters.wide_floods, 0u);
+  EXPECT_EQ(r.counters.load_reports_sent, 0u);
+  EXPECT_EQ(r.counters.digests_sent, 0u);
 
   EXPECT_EQ(r.completed(), base.completed());
   EXPECT_EQ(r.events_fired, base.events_fired);
@@ -72,9 +72,9 @@ TEST(HierarchyIntegration, RegionPlaneRunsAndStrandsNothing) {
   ASSERT_TRUE(r.hierarchy_enabled);
   EXPECT_EQ(r.region_count, 4u);
   // The periodic machinery must actually run...
-  EXPECT_GT(r.load_reports, 0u);
-  EXPECT_GT(r.digests_sent, 0u);
-  EXPECT_GT(r.digests_received, 0u);
+  EXPECT_GT(r.counters.load_reports_sent, 0u);
+  EXPECT_GT(r.counters.digests_sent, 0u);
+  EXPECT_GT(r.counters.digests_received, 0u);
   // ...and region-scoped discovery must still leave every job terminal.
   EXPECT_EQ(r.stranded(), 0u);
   EXPECT_TRUE(r.tracker.violations().empty());
@@ -92,10 +92,10 @@ TEST(HierarchyIntegration, VoConstraintsForceCrossRegionDelegation) {
   const workload::RunResult r = workload::run_scenario(cfg, 23);
 
   ASSERT_TRUE(r.hierarchy_enabled);
-  EXPECT_GT(r.region_queries, 0u);
-  EXPECT_GT(r.region_queries_served, 0u);
-  EXPECT_GT(r.region_forwards, 0u);
-  EXPECT_GT(r.region_floods, 0u);
+  EXPECT_GT(r.counters.region_queries_sent, 0u);
+  EXPECT_GT(r.counters.region_queries_served, 0u);
+  EXPECT_GT(r.counters.region_forwards, 0u);
+  EXPECT_GT(r.counters.region_floods, 0u);
   EXPECT_EQ(r.stranded(), 0u);
   EXPECT_TRUE(r.tracker.violations().empty());
 }
@@ -109,10 +109,10 @@ TEST(HierarchyIntegration, RunIsReproducible) {
 
   EXPECT_EQ(a.completed(), b.completed());
   EXPECT_EQ(a.events_fired, b.events_fired);
-  EXPECT_EQ(a.region_queries, b.region_queries);
-  EXPECT_EQ(a.region_floods, b.region_floods);
-  EXPECT_EQ(a.wide_floods, b.wide_floods);
-  EXPECT_EQ(a.digests_sent, b.digests_sent);
+  EXPECT_EQ(a.counters.region_queries_sent, b.counters.region_queries_sent);
+  EXPECT_EQ(a.counters.region_floods, b.counters.region_floods);
+  EXPECT_EQ(a.counters.wide_floods, b.counters.wide_floods);
+  EXPECT_EQ(a.counters.digests_sent, b.counters.digests_sent);
   EXPECT_EQ(a.traffic.total().messages, b.traffic.total().messages);
   EXPECT_EQ(a.traffic.total().bytes, b.traffic.total().bytes);
 }
@@ -143,7 +143,7 @@ TEST(HierarchyIntegration, CocktailWithChurnAndLossStrandsNothing) {
 
   EXPECT_EQ(a.completed(), b.completed());
   EXPECT_EQ(a.events_fired, b.events_fired);
-  EXPECT_EQ(a.region_queries, b.region_queries);
+  EXPECT_EQ(a.counters.region_queries_sent, b.counters.region_queries_sent);
   EXPECT_EQ(a.traffic.total().messages, b.traffic.total().messages);
   EXPECT_EQ(a.traffic.total().bytes, b.traffic.total().bytes);
 }

@@ -53,9 +53,9 @@ TEST(OverloadIntegration, InertKnobsPreserveDeterminism) {
   const workload::RunResult r = workload::run_scenario(knobs, 17);
 
   EXPECT_FALSE(r.overload_enabled);
-  EXPECT_EQ(r.jobs_shed, 0u);
-  EXPECT_EQ(r.assign_rejects, 0u);
-  EXPECT_EQ(r.bids_suppressed, 0u);
+  EXPECT_EQ(r.counters.jobs_shed, 0u);
+  EXPECT_EQ(r.counters.rejects_sent, 0u);
+  EXPECT_EQ(r.counters.bids_suppressed, 0u);
   EXPECT_EQ(r.queue_depth_series.size(), 0u);
 
   EXPECT_EQ(r.completed(), base.completed());
@@ -73,8 +73,8 @@ TEST(OverloadIntegration, StormShedsAndRejectsButStrandsNothing) {
 
   ASSERT_TRUE(r.overload_enabled);
   // The 6x burst against a 2-deep bound must actually trip the plane...
-  EXPECT_GT(r.bids_suppressed, 0u);
-  EXPECT_GT(r.peak_queue_depth, 0u);
+  EXPECT_GT(r.counters.bids_suppressed, 0u);
+  EXPECT_GT(r.counters.peak_queue_depth, 0u);
   EXPECT_GT(r.queue_depth_series.size(), 0u);
   // ...and every shed or rejected job must land somewhere terminal: the
   // overload guarantee is "degrade to rescheduling, never to stranding".
@@ -91,13 +91,13 @@ TEST(OverloadIntegration, StormRunIsReproducible) {
 
   EXPECT_EQ(a.completed(), b.completed());
   EXPECT_EQ(a.events_fired, b.events_fired);
-  EXPECT_EQ(a.jobs_shed, b.jobs_shed);
-  EXPECT_EQ(a.sheds_rescheduled, b.sheds_rescheduled);
-  EXPECT_EQ(a.sheds_failsafe, b.sheds_failsafe);
-  EXPECT_EQ(a.assign_rejects, b.assign_rejects);
-  EXPECT_EQ(a.reject_rediscoveries, b.reject_rediscoveries);
-  EXPECT_EQ(a.bids_suppressed, b.bids_suppressed);
-  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
+  EXPECT_EQ(a.counters.jobs_shed, b.counters.jobs_shed);
+  EXPECT_EQ(a.counters.sheds_rescheduled, b.counters.sheds_rescheduled);
+  EXPECT_EQ(a.counters.sheds_failsafe, b.counters.sheds_failsafe);
+  EXPECT_EQ(a.counters.rejects_sent, b.counters.rejects_sent);
+  EXPECT_EQ(a.counters.reject_rediscoveries, b.counters.reject_rediscoveries);
+  EXPECT_EQ(a.counters.bids_suppressed, b.counters.bids_suppressed);
+  EXPECT_EQ(a.counters.peak_queue_depth, b.counters.peak_queue_depth);
   EXPECT_EQ(a.traffic.total().messages, b.traffic.total().messages);
   EXPECT_EQ(a.traffic.total().bytes, b.traffic.total().bytes);
 }
@@ -126,10 +126,10 @@ TEST(OverloadIntegration, CocktailWithChurnAndLossReplaysExactly) {
 
   EXPECT_EQ(a.completed(), b.completed());
   EXPECT_EQ(a.events_fired, b.events_fired);
-  EXPECT_EQ(a.jobs_shed, b.jobs_shed);
-  EXPECT_EQ(a.assign_rejects, b.assign_rejects);
-  EXPECT_EQ(a.reject_rediscoveries, b.reject_rediscoveries);
-  EXPECT_EQ(a.bids_suppressed, b.bids_suppressed);
+  EXPECT_EQ(a.counters.jobs_shed, b.counters.jobs_shed);
+  EXPECT_EQ(a.counters.rejects_sent, b.counters.rejects_sent);
+  EXPECT_EQ(a.counters.reject_rediscoveries, b.counters.reject_rediscoveries);
+  EXPECT_EQ(a.counters.bids_suppressed, b.counters.bids_suppressed);
   EXPECT_EQ(a.traffic.total().messages, b.traffic.total().messages);
   EXPECT_EQ(a.traffic.total().bytes, b.traffic.total().bytes);
 }

@@ -138,7 +138,8 @@ TEST(TargetedFault, DigestStarvationHitsOnlyThatClass) {
 
   // 25x on a 2% base rate halves the digests that land (loss 0.5), yet
   // nothing strands — empty tables only mean discovery stays region-local.
-  EXPECT_LT(r.digests_received, (base.digests_received * 6) / 10);
+  EXPECT_LT(r.counters.digests_received,
+            (base.counters.digests_received * 6) / 10);
   EXPECT_EQ(r.stranded(), 0u);
   EXPECT_TRUE(r.tracker.violations().empty());
 }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -50,6 +51,10 @@ const TinySweep& tiny_sweep() {
   return data;
 }
 
+std::uint64_t run_count(const RunRow& run, std::string_view metric) {
+  return std::get<std::uint64_t>(run.values[workload::metric_index(metric)]);
+}
+
 std::size_t line_count(const std::string& s) {
   return static_cast<std::size_t>(std::count(s.begin(), s.end(), '\n'));
 }
@@ -60,21 +65,23 @@ TEST(SweepReport, BuildGroupsRunsIntoMatrixRows) {
 
   ASSERT_EQ(report.rows.size(), 2u);
   EXPECT_EQ(report.rows[0].label, "FCFS");
-  EXPECT_EQ(report.rows[0].runs, 2u);
+  EXPECT_EQ(report.rows[0].runs(), 2u);
   EXPECT_EQ(report.rows[0].base_seed, 5u);
   EXPECT_EQ(report.rows[0].nodes, 40u);
   EXPECT_EQ(report.rows[0].jobs, 25u);
   EXPECT_EQ(report.rows[1].label, "iMixed");
-  EXPECT_EQ(report.rows[1].runs, 1u);
+  EXPECT_EQ(report.rows[1].runs(), 1u);
   EXPECT_EQ(report.rows[1].base_seed, 11u);
 
   ASSERT_EQ(report.runs.size(), 3u);
-  EXPECT_EQ(report.total_runs, 3u);
+  EXPECT_EQ(report.totals.runs(), 3u);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(report.runs[i].label, specs[i].label) << i;
     EXPECT_EQ(report.runs[i].seed, specs[i].seed) << i;
-    EXPECT_EQ(report.runs[i].completed, results[i].completed()) << i;
-    EXPECT_EQ(report.runs[i].traffic_bytes, results[i].traffic.total().bytes)
+    EXPECT_EQ(run_count(report.runs[i], "completed"), results[i].completed())
+        << i;
+    EXPECT_EQ(run_count(report.runs[i], "traffic_bytes"),
+              results[i].traffic.total().bytes)
         << i;
   }
 }
@@ -96,13 +103,15 @@ TEST(SweepReport, RowStatsMatchWelfordOverTheRowsRuns) {
     bytes += results[i].traffic.total().bytes;
   }
   const RowSummary& row = report.rows[0];
-  EXPECT_EQ(row.completed.mean(), completed.mean());
-  EXPECT_EQ(row.completed.stddev(), completed.stddev());
-  EXPECT_EQ(row.completed.min(), completed.min());
-  EXPECT_EQ(row.completed.max(), completed.max());
-  EXPECT_EQ(row.completion_minutes.mean(), completion.mean());
-  EXPECT_EQ(row.completion_minutes.stddev(), completion.stddev());
-  EXPECT_EQ(row.traffic_mib.mean(), traffic_mib.mean());
+  const RunningStats& row_completed = row.metrics.stats("completed");
+  EXPECT_EQ(row_completed.mean(), completed.mean());
+  EXPECT_EQ(row_completed.stddev(), completed.stddev());
+  EXPECT_EQ(row_completed.min(), completed.min());
+  EXPECT_EQ(row_completed.max(), completed.max());
+  EXPECT_EQ(row.metrics.stats("completion_minutes").mean(), completion.mean());
+  EXPECT_EQ(row.metrics.stats("completion_minutes").stddev(),
+            completion.stddev());
+  EXPECT_EQ(row.metrics.stats("traffic_mib").mean(), traffic_mib.mean());
   EXPECT_EQ(row.traffic.total().bytes, bytes);
 }
 
@@ -117,10 +126,10 @@ TEST(SweepReport, TotalsSumEveryRun) {
     stranded += r.stranded();
     violations += r.tracker.violations().size();
   }
-  EXPECT_EQ(report.traffic.total().messages, messages);
-  EXPECT_EQ(report.traffic.total().bytes, bytes);
-  EXPECT_EQ(report.total_stranded, stranded);
-  EXPECT_EQ(report.total_violations, violations);
+  EXPECT_EQ(report.totals.traffic.total().messages, messages);
+  EXPECT_EQ(report.totals.traffic.total().bytes, bytes);
+  EXPECT_EQ(report.totals.metrics.count("stranded"), stranded);
+  EXPECT_EQ(report.totals.metrics.count("lifecycle_violations"), violations);
 }
 
 TEST(SweepReport, WritersAreByteStableAcrossCalls) {
@@ -146,13 +155,13 @@ TEST(SweepReport, JsonCarriesSchemaAndSortedTrafficTypes) {
   std::ostringstream out;
   report.write_json(out);
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema\":\"aria-sweep-report-v1\""),
+  EXPECT_NE(json.find("\"schema\":\"aria-sweep-report-v2\""),
             std::string::npos);
   EXPECT_EQ(json.back(), '\n');
 
   // by_type() snapshots are name-sorted, so the merged ledger's key order
   // cannot depend on which run interned a message type first.
-  const auto types = report.traffic.by_type();
+  const auto types = report.totals.traffic.by_type();
   EXPECT_FALSE(types.empty());
   EXPECT_TRUE(std::is_sorted(
       types.begin(), types.end(),
@@ -167,9 +176,29 @@ TEST(SweepReport, CsvShapes) {
   report.write_summary_csv(summary);
   report.write_runs_csv(runs);
   EXPECT_EQ(line_count(summary.str()), report.rows.size() + 1);
-  EXPECT_EQ(line_count(runs.str()), report.total_runs + 1);
+  EXPECT_EQ(line_count(runs.str()), report.totals.runs() + 1);
   EXPECT_EQ(summary.str().rfind("label,scenario,runs,", 0), 0u);
   EXPECT_EQ(runs.str().rfind("label,scenario,seed,", 0), 0u);
+}
+
+TEST(SweepReport, PassedFailsOnStrandedJobsAndAuditViolations) {
+  const auto& [specs, results] = tiny_sweep();
+  EXPECT_TRUE(SweepReport::build(specs, results).passed());
+
+  // An auditor violation alone fails the sweep (the chaos-hier and
+  // adversary presets' bar is zero violations on every row).
+  auto audited = results;
+  audited[1].audit_violations = 1;
+  const SweepReport flagged = SweepReport::build(specs, audited);
+  EXPECT_EQ(flagged.totals.metrics.count("audit_violations"), 1u);
+  EXPECT_FALSE(flagged.passed());
+
+  // So does a stranded job (a submission no node accepted).
+  auto stranded = results;
+  stranded[2].submissions_dropped = 1;
+  const SweepReport lost = SweepReport::build(specs, stranded);
+  EXPECT_EQ(lost.totals.metrics.count("stranded"), 1u);
+  EXPECT_FALSE(lost.passed());
 }
 
 TEST(SweepReport, SpecResultCountMismatchThrows) {

@@ -172,20 +172,26 @@ int main(int argc, char** argv) {
                           "resched", "missed dl", "traffic MiB/run",
                           "stranded"}};
     for (const auto& row : report.rows) {
-      table.add_row({row.label, std::to_string(row.runs),
-                     metrics::Table::num(row.completed.mean(), 0),
-                     metrics::Table::num(row.completion_minutes.mean()),
-                     metrics::Table::num(row.reschedules.mean(), 0),
-                     metrics::Table::num(row.missed_deadlines.mean(), 0),
-                     metrics::Table::num(row.traffic_mib.mean(), 2),
-                     std::to_string(row.stranded)});
+      const auto mean = [&](const char* metric) {
+        return row.metrics.stats(metric).mean();
+      };
+      table.add_row({row.label, std::to_string(row.runs()),
+                     metrics::Table::num(mean("completed"), 0),
+                     metrics::Table::num(mean("completion_minutes")),
+                     metrics::Table::num(mean("reschedules"), 0),
+                     metrics::Table::num(mean("missed_deadlines"), 0),
+                     metrics::Table::num(mean("traffic_mib"), 2),
+                     std::to_string(row.metrics.count("stranded"))});
     }
     table.print(std::cout);
-    std::cout << "totals: " << report.total_runs << " run(s), stranded "
-              << report.total_stranded << ", lifecycle violations "
-              << report.total_violations << ", traffic "
+    const auto& totals = report.totals;
+    std::cout << "totals: " << totals.runs() << " run(s), stranded "
+              << totals.metrics.count("stranded") << ", lifecycle violations "
+              << totals.metrics.count("lifecycle_violations")
+              << ", audit violations "
+              << totals.metrics.count("audit_violations") << ", traffic "
               << metrics::Table::num(
-                     static_cast<double>(report.traffic.total().bytes) /
+                     static_cast<double>(totals.traffic.total().bytes) /
                          (1024.0 * 1024.0),
                      1)
               << " MiB\n";
@@ -213,5 +219,5 @@ int main(int argc, char** argv) {
               << " (summary.json, summary.csv, runs.csv)\n";
   }
 
-  return (report.total_violations != 0 || report.total_stranded != 0) ? 1 : 0;
+  return report.passed() ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# The standing per-PR bench gate (ROADMAP item 5): kernel micros + a pinned
-# parallel-sweep preset.
+# The standing sweep bench gate: a pinned parallel-sweep preset timed at
+# several worker counts. Kernel micro benches are separate: run
+# build/bench/bench_micro_core directly (docs/kernel.md).
 #
 #   ./tools/bench_all.sh [options]
 #
@@ -9,20 +10,16 @@
 #   --preset NAME       aria_sweep preset to scale (default: table2-smoke)
 #   --seeds N           seeds per preset row (default: 2)
 #   --workers-list "W.."  worker counts for the scaling curve (default: "1 2 4 8")
-#   --repetitions N     micro-bench repetitions (default: 3)
 #   --baseline FILE     previous BENCH_sweep_scaling.json; gate wall-clock
 #                       against it
 #   --max-regress PCT   fail when current wall exceeds baseline by more than
 #                       PCT percent (default: 10)
-#   --skip-micro        skip the kernel micro benches
-#   --quick             CI smoke profile: quick preset, 1 seed, workers "1 2",
-#                       1 repetition
+#   --quick             CI smoke profile: quick preset, 1 seed, workers "1 2"
 #   --gate-only CURRENT BASELINE
 #                       run only the regression check between two scaling JSONs
 #
-# Emits $OUT/BENCH_sim_kernel.json (google-benchmark medians) and
-# $OUT/BENCH_sweep_scaling.json (the 1/2/4/..-worker wall-clock curve; its
-# machine block is measured, never typed). Independently of timing, the
+# Emits $OUT/BENCH_sweep_scaling.json (the 1/2/4/..-worker wall-clock
+# curve; its machine block is measured, never typed). Independently of timing, the
 # merged sweep reports of every worker count are byte-compared — a
 # worker-count-dependent report fails the gate even when it is fast. See
 # docs/sweep.md.
@@ -33,10 +30,8 @@ OUT="bench-out"
 PRESET="table2-smoke"
 SEEDS=2
 WORKERS_LIST="1 2 4 8"
-REPETITIONS=3
 BASELINE=""
 MAX_REGRESS=10
-SKIP_MICRO=0
 GATE_CURRENT=""
 GATE_BASELINE=""
 
@@ -47,12 +42,10 @@ while [ $# -gt 0 ]; do
     --preset) PRESET="$2"; shift 2 ;;
     --seeds) SEEDS="$2"; shift 2 ;;
     --workers-list) WORKERS_LIST="$2"; shift 2 ;;
-    --repetitions) REPETITIONS="$2"; shift 2 ;;
     --baseline) BASELINE="$2"; shift 2 ;;
     --max-regress) MAX_REGRESS="$2"; shift 2 ;;
-    --skip-micro) SKIP_MICRO=1; shift ;;
     --quick)
-      PRESET="quick"; SEEDS=1; WORKERS_LIST="1 2"; REPETITIONS=1; shift ;;
+      PRESET="quick"; SEEDS=1; WORKERS_LIST="1 2"; shift ;;
     --gate-only)
       [ $# -ge 3 ] || { echo "error: --gate-only CURRENT BASELINE" >&2; exit 2; }
       GATE_CURRENT="$2"; GATE_BASELINE="$3"; shift 3 ;;
@@ -96,11 +89,6 @@ if [ ! -x "$SWEEP" ]; then
 fi
 
 mkdir -p "$OUT"
-
-if [ "$SKIP_MICRO" -eq 0 ]; then
-  "$(dirname "$0")/bench_sim_kernel.sh" "$BUILD_DIR" \
-    "$OUT/BENCH_sim_kernel.json" --repetitions "$REPETITIONS"
-fi
 
 echo "== sweep scaling: preset $PRESET, $SEEDS seed(s), workers: $WORKERS_LIST =="
 TIMINGS=""
