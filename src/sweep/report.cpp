@@ -13,11 +13,11 @@ using workload::run_metrics;
 
 constexpr double kMiB = 1024.0 * 1024.0;
 
-std::string fmt(double v) { return format_metric(v); }
-
 void write_stats(std::ostream& out, const RunningStats& s) {
-  out << "{\"mean\":" << fmt(s.mean()) << ",\"stddev\":" << fmt(s.stddev())
-      << ",\"min\":" << fmt(s.min()) << ",\"max\":" << fmt(s.max()) << '}';
+  out << "{\"mean\":" << format_metric(s.mean())
+      << ",\"stddev\":" << format_metric(s.stddev())
+      << ",\"min\":" << format_metric(s.min())
+      << ",\"max\":" << format_metric(s.max()) << '}';
 }
 
 void write_traffic(std::ostream& out, const sim::TrafficLedger& ledger,
@@ -25,9 +25,9 @@ void write_traffic(std::ostream& out, const sim::TrafficLedger& ledger,
   const auto total = ledger.total();
   out << "{\"messages\":" << total.messages << ",\"bytes\":" << total.bytes
       << ",\"mib_per_run\":"
-      << fmt(runs ? static_cast<double>(total.bytes) /
-                        (kMiB * static_cast<double>(runs))
-                  : 0.0)
+      << format_metric(runs ? static_cast<double>(total.bytes) /
+                                  (kMiB * static_cast<double>(runs))
+                            : 0.0)
       << ",\"by_type\":{";
   bool first = true;
   for (const auto& [type, entry] : ledger.by_type()) {
@@ -166,8 +166,9 @@ void SweepReport::write_summary_csv(std::ostream& out) const {
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       if (metrics[i].fold == Fold::stats) {
         const RunningStats& s = row.metrics.stats(i);
-        out << ',' << fmt(s.mean()) << ',' << fmt(s.stddev()) << ','
-            << fmt(s.min()) << ',' << fmt(s.max());
+        out << ',' << format_metric(s.mean()) << ','
+            << format_metric(s.stddev()) << ',' << format_metric(s.min())
+            << ',' << format_metric(s.max());
       } else {
         out << ',' << format_metric(row.metrics.value(i));
       }
