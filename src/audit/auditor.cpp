@@ -347,7 +347,7 @@ void AuditCollector::on_message(NodeId from, NodeId to,
 
 // --- end-of-run checks ------------------------------------------------------
 
-void AuditCollector::finish(TimePoint horizon) {
+void AuditCollector::finish(TimePoint end) {
   if (finished_) return;
   finished_ = true;
   // Every cross-region delegation must resolve: after an aggregator
@@ -357,7 +357,7 @@ void AuditCollector::finish(TimePoint horizon) {
   // the job did terminate through a path the delegation raced with).
   for (const auto& [id, j] : jobs_) {
     if (!j.pending_delegation || j.terminal) continue;
-    if (*j.pending_delegation + config_.delegation_grace > horizon) continue;
+    if (*j.pending_delegation + config_.delegation_grace > end) continue;
     violate("unresolved-delegation",
             "job " + id.to_string() +
                 ": nothing happened after its cross-region delegation",

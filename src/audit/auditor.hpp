@@ -8,7 +8,7 @@
 // invariants *online* (duplicate completions, delegations without a
 // matching offer, malformed region digests, recovery-budget overruns) and
 // records any violation; finish() runs the end-of-run checks that need the
-// horizon (unresolved cross-region delegations).
+// run's end time (unresolved cross-region delegations).
 //
 // A disabled audit plane constructs nothing: no collector, no decorated
 // observer, no tap — zero cost and byte-identical output.
@@ -37,7 +37,7 @@ struct AuditConfig {
   /// Violations stored verbatim; the count keeps going past this cap so a
   /// pathological run cannot blow up memory on violation records.
   std::size_t max_recorded{64};
-  /// A cross-region delegation still unresolved this close to the horizon
+  /// A cross-region delegation still unresolved this close to the run's end
   /// is in-flight at shutdown, not stranded — no violation.
   Duration delegation_grace{Duration::minutes(10)};
 };
@@ -94,8 +94,9 @@ class AuditCollector final : public proto::ProtocolObserver,
   /// uses so e.g. trace output stays byte-identical with auditing on.
   void set_forward_tap(sim::MessageTap* tap, std::uint64_t sample_every);
 
-  /// End-of-run checks (unresolved delegations). Call once, at the horizon.
-  void finish(TimePoint horizon);
+  /// End-of-run checks (unresolved delegations). Call once, with the time
+  /// the run ended: when its work drained, or the horizon if it never did.
+  void finish(TimePoint end);
 
   /// Total violations observed (not capped by max_recorded).
   std::uint64_t violation_count() const { return violation_count_; }

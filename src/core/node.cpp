@@ -338,10 +338,22 @@ void AriaNode::decide_assignment(const JobId& id) {
     ++pending.silent_rounds;  // feeds early wide-flood escalation
     const std::size_t next_attempt = pending.attempt + 1;
     if (ctx_.config->retry.exhausted(pending.attempt)) {
-      ARIA_WARN << self_.to_string() << ": job " << id.to_string()
-                << " unschedulable after " << pending.attempt << " attempts";
-      if (ctx_.observer) ctx_.observer->on_unschedulable(id, ctx_.sim->now());
+      const std::size_t attempts = pending.attempt;
       pending_requests_.erase(it);
+      if (const auto w = watched_.find(id); w != watched_.end()) {
+        // The initiator still supervises the job, so the round hands it
+        // back to the watchdog: it recovers the job while its budget lasts
+        // and then reports the job's one terminal event (abandoned). With
+        // the budget already spent there is nothing left to wait for.
+        if (w->second.recoveries >= ctx_.config->failsafe_max_recoveries) {
+          w->second.timer.cancel();
+          watchdog_expired(id);
+        }
+        return;
+      }
+      ARIA_WARN << self_.to_string() << ": job " << id.to_string()
+                << " unschedulable after " << attempts << " attempts";
+      if (ctx_.observer) ctx_.observer->on_unschedulable(id, ctx_.sim->now());
       return;
     }
     if (ctx_.observer) {

@@ -218,6 +218,14 @@ class AriaNode {
   bool discovering(const JobId& id) const {
     return pending_requests_.contains(id) || pending_assigns_.contains(id);
   }
+  /// Holds no job duty: nothing queued or running, no discovery round,
+  /// unacknowledged delegation or shed job in flight, and no initiated job
+  /// under failsafe supervision. A crashed node can still supervise (its
+  /// watchdog table survives the crash and resumes on restart).
+  bool quiescent() const {
+    return !running_ && sched_->empty() && pending_requests_.empty() &&
+           pending_assigns_.empty() && shed_jobs_.empty() && watched_.empty();
+  }
   /// Overload plane: is this shed job still waiting for an INFORM offer?
   bool shedding(const JobId& id) const { return shed_jobs_.contains(id); }
   /// Overload plane: is this node currently withholding ACCEPT replies?

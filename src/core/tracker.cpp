@@ -22,6 +22,10 @@ JobRecord* JobTracker::must_find(const JobId& id, const char* context) {
   return &it->second;
 }
 
+void JobTracker::note_terminal(bool was_terminal, const JobRecord& r) {
+  if (!was_terminal && r.terminal()) ++terminal_;
+}
+
 void JobTracker::on_submitted(const grid::JobSpec& job, NodeId initiator,
                               TimePoint at) {
   auto [it, inserted] = records_.try_emplace(job.id);
@@ -40,8 +44,10 @@ void JobTracker::on_request_retry(const JobId& id, std::size_t, TimePoint) {
 
 void JobTracker::on_unschedulable(const JobId& id, TimePoint) {
   if (JobRecord* r = must_find(id, "unschedulable")) {
+    const bool was_terminal = r->terminal();
     r->unschedulable = true;
     ++unschedulable_;
+    note_terminal(was_terminal, *r);
   }
 }
 
@@ -116,9 +122,11 @@ void JobTracker::on_completed(const JobId& id, NodeId node, TimePoint at,
                             " completed on a different node than it started");
     }
   }
+  const bool was_terminal = r->terminal();
   r->completed = at;
   r->art = art;
   ++completed_;
+  note_terminal(was_terminal, *r);
 }
 
 void JobTracker::on_recovery(const JobId& id, std::size_t, TimePoint) {
@@ -137,8 +145,10 @@ void JobTracker::on_abandoned(const JobId& id, TimePoint) {
     return;
   }
   if (!r->abandoned) {
+    const bool was_terminal = r->terminal();
     r->abandoned = true;
     ++abandoned_;
+    note_terminal(was_terminal, *r);
   }
 }
 
@@ -160,14 +170,6 @@ std::size_t JobTracker::rejected_incomplete_count() const {
   std::size_t n = 0;
   for (const auto& [id, r] : records_) {
     if (r.rejects > 0 && !r.done()) ++n;
-  }
-  return n;
-}
-
-std::size_t JobTracker::stranded_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, r] : records_) {
-    if (!r.terminal()) ++n;
   }
   return n;
 }

@@ -91,9 +91,10 @@ class JobTracker final : public ProtocolObserver {
   std::uint64_t total_sheds() const { return sheds_; }
   std::uint64_t total_rejects() const { return rejects_; }
 
-  /// Submitted jobs that never reached a terminal state (completed,
-  /// unschedulable, or abandoned). Must be 0 at the end of any run.
-  std::size_t stranded_count() const;
+  /// Submitted jobs that have not reached a terminal state (completed,
+  /// unschedulable, or abandoned) yet; O(1). Must be 0 at the end of any
+  /// run.
+  std::size_t stranded_count() const { return records_.size() - terminal_; }
 
   /// Jobs that were admission-rejected at least once and still never
   /// completed (unschedulable, abandoned, or stranded) — the population an
@@ -105,12 +106,15 @@ class JobTracker final : public ProtocolObserver {
 
  private:
   JobRecord* must_find(const JobId& id, const char* context);
+  /// Counts `r` as terminal the first time one of its terminal flags is set.
+  void note_terminal(bool was_terminal, const JobRecord& r);
 
   std::unordered_map<JobId, JobRecord> records_;
   std::vector<std::string> violations_;
   std::size_t completed_{0};
   std::size_t unschedulable_{0};
   std::size_t abandoned_{0};
+  std::size_t terminal_{0};  // records with terminal() true
   std::uint64_t reschedules_{0};
   std::uint64_t recoveries_{0};
   std::uint64_t sheds_{0};

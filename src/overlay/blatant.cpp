@@ -78,6 +78,18 @@ void BlatantMaintainer::pruning_ant(NodeId origin) {
   }
 }
 
+bool BlatantMaintainer::settled() const {
+  if (topo_.diameter() > params_.alpha) return false;
+  for (const NodeId a : topo_.nodes()) {
+    if (topo_.degree(a) <= params_.min_degree) continue;
+    for (const NodeId b : topo_.neighbors(a)) {
+      if (b < a || topo_.degree(b) <= params_.min_degree) continue;
+      if (topo_.distance_without_link(a, b, a, b, params_.beta)) return false;
+    }
+  }
+  return true;
+}
+
 void BlatantMaintainer::tick() {
   // Snapshot the node set: ants may mutate the topology while iterating.
   const auto nodes = topo_.nodes();

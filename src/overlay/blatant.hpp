@@ -68,6 +68,13 @@ class BlatantMaintainer {
   /// `quiet_rounds` consecutive ticks) or `max_rounds` elapse.
   void converge(std::size_t max_rounds = 200, std::size_t quiet_rounds = 5);
 
+  /// True when no ant can change the topology any more, so every further
+  /// tick is a no-op: no two nodes lie more than alpha hops apart (no
+  /// discovery ant finds a shortcut to add) and no link between two nodes
+  /// above the degree floor has a detour of at most beta hops (no pruning
+  /// ant finds one to drop). Costs an all-pairs BFS; call it rarely.
+  bool settled() const;
+
   /// A single discovery ant from `origin`: random walk, then shortcut
   /// creation if the walked pair is further apart than alpha.
   void discovery_ant(NodeId origin);

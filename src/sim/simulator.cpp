@@ -51,6 +51,19 @@ void Simulator::cancel(std::uint32_t slot, std::uint32_t generation) {
   }
 }
 
+void Simulator::clear() {
+  // Freeing every slot also bumps the generation of a periodic slot whose
+  // callback is running right now (its heap entry is already popped), so
+  // step() sees the mismatch and does not re-arm it. Slots are pushed in
+  // descending order so reuse starts from slot 0 again.
+  heap_.clear();
+  cancelled_pending_ = 0;
+  free_slots_.clear();
+  for (std::size_t i = slots_.size(); i-- > 0;) {
+    free_slot(static_cast<std::uint32_t>(i));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 4-ary heap over (at, key, seq)
 // ---------------------------------------------------------------------------

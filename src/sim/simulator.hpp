@@ -93,8 +93,8 @@ class Simulator {
   std::uint64_t run();
 
   /// Runs until the queue drains or simulated time would pass `deadline`;
-  /// the clock is left at min(deadline, last event time). Events scheduled
-  /// exactly at `deadline` do fire.
+  /// the clock is then left at `deadline`. Events scheduled exactly at
+  /// `deadline` do fire.
   std::uint64_t run_until(TimePoint deadline);
 
   /// Fires at most one event. Returns false if the queue was empty.
@@ -106,6 +106,12 @@ class Simulator {
 
   /// Requests run()/run_until() to return after the current event.
   void stop() { stop_requested_ = true; }
+
+  /// Discards every pending event: the agenda is empty afterwards, so
+  /// peek() returns nullopt and any driving loop ends on its own. Every
+  /// outstanding EventHandle goes inert, and a periodic event that is being
+  /// dispatched is not re-armed. The clock stays where it is.
+  void clear();
 
   /// Live (not cancelled) scheduled events.
   std::size_t pending_events() const {

@@ -377,8 +377,8 @@ void GridSimulation::build_nodes() {
   for (std::size_t i = 0; i < config_.node_count; ++i) spawn_node();
 }
 
-void GridSimulation::submit_one(std::size_t index) {
-  (void)index;
+void GridSimulation::submit_one() {
+  ++submissions_fired_;
   // Feasibility: at least one currently alive node must match.
   auto feasible = [this](const grid::JobRequirements& req) {
     for (const auto& n : nodes_) {
@@ -430,7 +430,7 @@ void GridSimulation::schedule_workload() {
   for (std::size_t i = 0; i < config_.job_count; ++i) {
     const TimePoint at =
         TimePoint::origin() + config_.submission_start + offsets[i];
-    sim_.schedule_at(at, [this, i] { submit_one(i); });
+    sim_.schedule_at(at, [this] { submit_one(); });
   }
 }
 
@@ -551,7 +551,10 @@ void GridSimulation::churn_restart(NodeId id, sim::FaultConfig::Churn plan,
 void GridSimulation::schedule_maintenance() {
   if (!maintainer_) return;  // static overlay families have no ants
   sim_.schedule_periodic(config_.maintenance_period, config_.maintenance_period,
-                         [this] { maintainer_->tick(); });
+                         [this] {
+                           maintainer_->tick();
+                           ++maintenance_ticks_;
+                         });
 }
 
 void GridSimulation::schedule_sampling() {
@@ -567,7 +570,57 @@ void GridSimulation::schedule_sampling() {
                            if (config_.aria.overload.enabled) {
                              sample_overload();
                            }
+                           end_if_drained();
                          });
+}
+
+// A run has drained once no job can change state again: every submission
+// has fired, the grid has grown to its target, the tracker holds no open
+// job and no node, crashed or not, holds a job duty. Every per-job metric
+// is fixed from then on, so the run ends here rather than at the horizon.
+// Checked from the sampler, so it adds no event; the node scan runs only
+// once the O(1) tests pass. A scenario without synthetic jobs is driven from
+// outside (trace replay, the centralized baseline): the engine cannot know
+// when that work is done, so such a run goes on to the horizon.
+void GridSimulation::end_if_drained() {
+  if (config_.job_count == 0 || submissions_fired_ < config_.job_count) {
+    return;
+  }
+  if (config_.expansion &&
+      nodes_.size() < config_.expansion->target_node_count) {
+    return;
+  }
+  if (tracker_.stranded_count() != 0) return;
+  for (const proto::AriaNode* n : nodes_) {
+    if (!n->quiescent()) return;
+  }
+  drained_at_ = sim_.now();
+  sim_.clear();
+  finish_maintenance();
+}
+
+// The ants keep rewiring the overlay until the horizon even after the work
+// has drained. They draw from their own stream and change nothing but the
+// topology, so the ticks still due run here back to back, without events,
+// and leave the overlay exactly as a full-horizon run would. Once no ant can
+// change a link (settled), the remaining ticks are no-ops and are skipped.
+void GridSimulation::finish_maintenance() {
+  if (!maintainer_) return;
+  const auto due = static_cast<std::uint64_t>(
+      config_.horizon.count_micros() /
+      config_.maintenance_period.count_micros());
+  const auto link_changes = [this] {
+    return maintainer_->stats().links_added +
+           maintainer_->stats().links_removed;
+  };
+  // settled() depends on the topology alone: re-test it only after a tick
+  // that changed a link.
+  bool settled = maintainer_->settled();
+  for (; !settled && maintenance_ticks_ < due; ++maintenance_ticks_) {
+    const std::uint64_t before = link_changes();
+    maintainer_->tick();
+    if (link_changes() != before) settled = maintainer_->settled();
+  }
 }
 
 // Piggybacks on the metrics sampler (no extra events): is the subgraph of
@@ -605,19 +658,38 @@ void GridSimulation::sample_overload() {
   reject_series_.add(sim_.now(), static_cast<double>(rejects));
 }
 
+namespace {
+// Continues a series flat from its last sample to the horizon on the
+// sampler's grid: what the sampler would have recorded had the run gone on.
+void pad_to_horizon(metrics::Series& s, TimePoint last, Duration period,
+                    TimePoint horizon) {
+  if (s.empty()) return;
+  const double value = s.points().back().value;
+  for (TimePoint t = last + period; t <= horizon; t += period) s.add(t, value);
+}
+}  // namespace
+
 RunResult GridSimulation::run() {
   build();
+  const TimePoint horizon = TimePoint::origin() + config_.horizon;
   const auto wall_start = std::chrono::steady_clock::now();
-  sim_.run_until(TimePoint::origin() + config_.horizon);
+  sim_.run_until(horizon);
   const auto wall_end = std::chrono::steady_clock::now();
+  // run_until leaves the clock at the horizon either way; a drained run
+  // ended at its drain time.
+  const TimePoint end = drained_at_.value_or(horizon);
+  const auto padded = [&](metrics::Series s) {
+    pad_to_horizon(s, end, config_.metrics_sample_period, horizon);
+    return s;
+  };
 
   RunResult r;
   r.scenario_name = config_.name;
   r.seed = seed_;
   r.tracker = tracker_;
   r.traffic = net_->traffic();
-  r.idle_series = idle_series_;
-  r.node_count_series = node_count_series_;
+  r.idle_series = padded(idle_series_);
+  r.node_count_series = padded(node_count_series_);
   if (faults_) {
     r.faults_enabled = true;
     r.faults = faults_->counters();
@@ -648,9 +720,9 @@ RunResult GridSimulation::run() {
   }
   if (config_.aria.overload.enabled) {
     r.overload_enabled = true;
-    r.queue_depth_series = queue_depth_series_;
-    r.shed_series = shed_series_;
-    r.reject_series = reject_series_;
+    r.queue_depth_series = padded(queue_depth_series_);
+    r.shed_series = padded(shed_series_);
+    r.reject_series = padded(reject_series_);
   }
   if (faults_ && faults_->config().adversary &&
       faults_->config().adversary->fraction > 0.0 &&
@@ -674,7 +746,7 @@ RunResult GridSimulation::run() {
     r.trace = tracer_->buffer();
   }
   if (auditor_) {
-    auditor_->finish(TimePoint::origin() + config_.horizon);
+    auditor_->finish(end);
     r.audit_enabled = true;
     r.audit_violations = auditor_->violation_count();
     r.violations = auditor_->violations();
@@ -691,6 +763,7 @@ RunResult GridSimulation::run() {
   r.overlay_avg_degree = topo_.average_degree();
   r.overlay_avg_path_length = topo_.average_path_length();
   r.events_fired = sim_.fired_events();
+  r.end_minutes = (end - TimePoint::origin()).to_minutes();
   r.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   if (!r.tracker.violations().empty()) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "audit/auditor.hpp"
@@ -110,6 +111,9 @@ struct RunResult {
   double overlay_avg_degree{0.0};
   double overlay_avg_path_length{0.0};
   std::uint64_t events_fired{0};
+  /// Simulated minutes at which the run ended: when its work drained, or
+  /// the horizon if it never did (docs/kernel.md "How a run ends").
+  double end_minutes{0.0};
   double wall_seconds{0.0};
 
   // --- derived job metrics (over completed jobs) -----------------------
@@ -164,7 +168,8 @@ class GridSimulation {
   /// Constructs overlay, nodes and schedules the workload. Idempotent.
   void build();
 
-  /// build() + run to the horizon + collect results.
+  /// build() + run until the work drains (the horizon is a cap) + collect
+  /// results.
   RunResult run();
 
   // --- component access (valid after build()) ---------------------------
@@ -196,13 +201,15 @@ class GridSimulation {
   void schedule_sampling();
   void sample_live_connectivity();
   void sample_overload();
+  void end_if_drained();
+  void finish_maintenance();
   void schedule_churn();
   void schedule_targeted_churn();
   void churn_crash(NodeId id, sim::FaultConfig::Churn plan, Rng rng,
                    bool targeted = false);
   void churn_restart(NodeId id, sim::FaultConfig::Churn plan, Rng rng,
                      bool targeted = false);
-  void submit_one(std::size_t index);
+  void submit_one();
 
   ScenarioConfig config_;
   std::uint64_t seed_;
@@ -245,6 +252,10 @@ class GridSimulation {
   metrics::Series shed_series_;
   metrics::Series reject_series_;
   std::uint64_t submissions_dropped_{0};
+  std::size_t submissions_fired_{0};
+  std::uint64_t maintenance_ticks_{0};
+  /// Set by the sampler when the run drains; the agenda is empty from then.
+  std::optional<TimePoint> drained_at_;
   // Healing-plane sampling state (live-subgraph connectivity over time).
   std::uint64_t live_disconnected_samples_{0};
   std::uint64_t disconnect_streak_{0};

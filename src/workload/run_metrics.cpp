@@ -38,6 +38,7 @@ constexpr RunMetric kMetrics[] = {
   {"traffic_bytes",           "B",       Plane::core, [](R r) -> U64 { return r.traffic.total().bytes; }, Fold::sum},
   {"traffic_mib",             "MiB",     Plane::core, [](R r) { return static_cast<double>(r.traffic.total().bytes) / kMiB; }, Fold::stats},
   {"events_fired",            "events",  Plane::core, [](R r) -> U64 { return r.events_fired; }, Fold::sum},
+  {"end_min",                 "min",     Plane::core, [](R r) { return r.end_minutes; }, Fold::stats},
   {"final_node_count",        "nodes",   Plane::core, [](R r) -> U64 { return r.final_node_count; }, Fold::max},
   {"overlay_links",           "links",   Plane::core, [](R r) -> U64 { return r.overlay_links; }, Fold::stats},
   {"overlay_avg_degree",      "links",   Plane::core, [](R r) { return r.overlay_avg_degree; }, Fold::stats},

@@ -51,6 +51,40 @@ TEST(Blatant, PrunesOverProvisionedGraph) {
   EXPECT_GT(m.stats().links_removed, 0u);
 }
 
+TEST(Blatant, SettledOnlyWhenNoAntCanChangeALink) {
+  Rng rng{6};
+  BlatantParams p;
+  // A ring: short paths, every node at the degree floor -> settled.
+  Topology ring;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    ring.add_link(NodeId{i}, NodeId{(i + 1) % 8});
+  }
+  EXPECT_TRUE(BlatantMaintainer(ring, p, rng.fork(1)).settled());
+  // A path longer than alpha: a discovery ant may still add a shortcut.
+  Topology path;
+  for (std::uint32_t i = 0; i + 1 < p.alpha + 3; ++i) {
+    path.add_link(NodeId{i}, NodeId{i + 1});
+  }
+  EXPECT_FALSE(BlatantMaintainer(path, p, rng.fork(2)).settled());
+  // A clique: every link has a 2-hop detour between nodes above the floor.
+  Topology clique;
+  for (std::uint32_t a = 0; a < 7; ++a) {
+    for (std::uint32_t b = a + 1; b < 7; ++b) {
+      clique.add_link(NodeId{a}, NodeId{b});
+    }
+  }
+  BlatantMaintainer m{clique, p, rng.fork(3)};
+  EXPECT_FALSE(m.settled());
+  for (int i = 0; i < 500 && !m.settled(); ++i) m.tick();
+  ASSERT_TRUE(m.settled());
+  // Once settled, ticks are no-ops.
+  const std::size_t links = clique.link_count();
+  const auto changes = m.stats().links_added + m.stats().links_removed;
+  for (int i = 0; i < 50; ++i) m.tick();
+  EXPECT_EQ(clique.link_count(), links);
+  EXPECT_EQ(m.stats().links_added + m.stats().links_removed, changes);
+}
+
 TEST(Blatant, RepairsStretchedTopology) {
   // A long path graph violates the alpha bound badly; discovery ants must
   // add shortcuts.

@@ -349,6 +349,59 @@ TEST(Simulator, MoveOnlyCaptureInCallback) {
   EXPECT_EQ(seen, 7);
 }
 
+TEST(Simulator, ClearFromInsidePeriodicCallbackEmptiesTheAgenda) {
+  Simulator sim;
+  int ticks = 0;
+  bool later_fired = false;
+  EventHandle periodic = sim.schedule_periodic(0_s, 1_s, [&] {
+    if (++ticks == 3) sim.clear();
+  });
+  EventHandle later = sim.schedule_after(10_s, [&] { later_fired = true; });
+  EventHandle cancelled = sim.schedule_after(20_s, [] {});
+  cancelled.cancel();
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(ticks, 3);  // the dispatching periodic event was not re-armed
+  EXPECT_FALSE(later_fired);
+  EXPECT_EQ(sim.now(), TimePoint::origin() + 2_s);  // the clock stays put
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.cancelled_pending(), 0u);
+  EXPECT_FALSE(sim.peek().has_value());
+  EXPECT_FALSE(periodic.pending());
+  EXPECT_FALSE(later.pending());
+}
+
+TEST(Simulator, HandlesStayInertWhenClearedSlotsAreReused) {
+  Simulator sim;
+  EventHandle a = sim.schedule_after(1_s, [] {});
+  EventHandle b = sim.schedule_periodic(2_s, 2_s, [] {});
+  const std::size_t slots = sim.slab_slots();
+  sim.clear();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  int fired = 0;
+  EventHandle c = sim.schedule_after(3_s, [&] { ++fired; });
+  EventHandle d = sim.schedule_after(4_s, [&] { ++fired; });
+  EXPECT_EQ(sim.slab_slots(), slots);  // cleared slots are recycled
+  // The stale handles point at recycled slots with new generations: they
+  // neither observe nor cancel the new events.
+  a.cancel();
+  b.cancel();
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(b.pending());
+  EXPECT_TRUE(c.pending());
+  EXPECT_TRUE(d.pending());
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, RunUntilEndsEarlyAfterClearAndStepFindsNothing) {
+  Simulator sim;
+  sim.schedule_after(1_s, [&] { sim.clear(); });
+  sim.schedule_after(5_s, [] {});
+  EXPECT_EQ(sim.run_until(TimePoint::origin() + 10_s), 1u);
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.fired_events(), 1u);
+}
+
 TEST(Simulator, ManyEventsStressOrdering) {
   Simulator sim;
   TimePoint last = TimePoint::origin();

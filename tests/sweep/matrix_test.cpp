@@ -177,7 +177,7 @@ TEST(SweepMatrix, SmokePresetAppliesTheBenchDownsizing) {
   for (const auto& spec : specs) {
     EXPECT_EQ(spec.config.node_count, 100u);
     EXPECT_EQ(spec.config.job_count, 150u);
-    EXPECT_EQ(spec.config.horizon, Duration::hours(30));
+    EXPECT_EQ(spec.config.horizon, Duration::hours(60));
     EXPECT_EQ(spec.seed, 3u);
     const auto& full = workload::scenario_by_name(spec.config.name);
     EXPECT_EQ(spec.config.submission_interval, full.submission_interval / 2);
